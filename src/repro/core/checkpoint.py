@@ -55,8 +55,8 @@ __all__ = [
     "trace_digest",
 ]
 
-SHARD_SCHEMA = "repro-checkpoint-shard/1"
-PLAN_SCHEMA = "repro-plan-cache/1"
+SHARD_SCHEMA = "repro-checkpoint-shard/2"
+PLAN_SCHEMA = "repro-plan-cache/2"
 
 #: Environment hook consumed by the fault-injection harness
 #: (:mod:`repro.testing.faults`): kill the process after N shard writes.
@@ -251,8 +251,8 @@ def load_plan(store: CheckpointStore, build, coarsen: str):
     """The cached :class:`~repro.core.compiled.CompiledPlan`, or None.
 
     Validation mirrors shard reads: a stale or corrupt blob — wrong
-    schema, digest, numpy version (the sampler tables mirror numpy's
-    private ziggurat layout), or graph shape — counts as
+    schema, digest, numpy version (the blob pickles numpy arrays), or
+    graph shape — counts as
     ``checkpoint.plan_corrupt`` and reads as missing, so the plan is
     recompiled and the cache rewritten.  Like :meth:`CheckpointStore.
     get`, the read is a single open: a plan cached (or evicted) by a

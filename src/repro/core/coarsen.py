@@ -365,12 +365,8 @@ def detect_phases(
     for col in (plan.edge_kind, plan.edge_is_local, plan.edge_nbytes):
         if not _all_rows_equal(col[run_edge_ids]):
             return None
-    deltas = plan.deltas
     for field in ("rank", "src", "dst", "rounds"):
-        vals = np.fromiter(
-            (getattr(d, field) for d in deltas), dtype=np.int64, count=n_edges
-        )
-        if not _all_rows_equal(vals[run_edge_ids]):
+        if not _all_rows_equal(getattr(plan.cols, field)[run_edge_ids]):
             return None
     src_mat = edge_src[run_edge_ids]
     si_mat = pos_inst[src_mat]

@@ -289,6 +289,23 @@ class _Chunk:
         self.done = False
 
 
+def _shutdown_pool(pool: ProcessPoolExecutor) -> None:
+    """Shut ``pool`` down and stop its workers before returning.
+
+    ``shutdown(wait=False, cancel_futures=True)`` drops queued work but
+    leaves a worker that is still running a chunk (a timed-out straggler,
+    a losing speculative twin) alive until that chunk finishes; those
+    workers are terminated and reaped here so none outlives ``map``.
+    """
+    procs = list((getattr(pool, "_processes", None) or {}).values())
+    pool.shutdown(wait=False, cancel_futures=True)
+    for proc in procs:
+        if proc.is_alive():
+            proc.terminate()
+    for proc in procs:
+        proc.join(timeout=5.0)
+
+
 class ProcessPoolBackend(ExecutionBackend):
     """Chunked fan-out over a ``ProcessPoolExecutor`` (module docstring).
 
@@ -380,7 +397,7 @@ class ProcessPoolBackend(ExecutionBackend):
             self._run(holder, fn, payload, chunks, workers, session)
         finally:
             if holder[0] is not None:
-                holder[0].shutdown(wait=False, cancel_futures=True)
+                _shutdown_pool(holder[0])
         return [r for chunk in chunks for r in chunk.results]
 
     def _run(self, holder, fn, payload, chunks: list[_Chunk], workers: int, session) -> None:
@@ -439,7 +456,7 @@ class ProcessPoolBackend(ExecutionBackend):
             if broken is not None:
                 restarts += 1
                 obs.add("parallel.pool_restarts")
-                holder[0].shutdown(wait=False, cancel_futures=True)
+                _shutdown_pool(holder[0])
                 pending.clear()
                 holder[0] = None
                 if restarts <= policy.max_pool_restarts:

@@ -183,7 +183,7 @@ def corrupt_checkpoints(root: str | Path, n: int | None = None) -> list[Path]:
     shards = sorted(Path(root).glob("*.json"))
     victims = shards if n is None else shards[:n]
     for path in victims:
-        path.write_text('{"schema": "repro-checkpoint-shard/1", "result": [corrupt')
+        path.write_text('{"schema": "repro-checkpoint-shard/2", "result": [corrupt')
     return list(victims)
 
 

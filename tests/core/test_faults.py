@@ -7,6 +7,9 @@ results remain bit-for-bit equal to a clean serial run — fault handling
 may never change an answer.
 """
 
+import multiprocessing
+import time
+
 import numpy as np
 import pytest
 
@@ -93,6 +96,15 @@ class TestRetry:
         assert session.metrics.counter("parallel.chunk_retries").value == 1
 
 
+def assert_no_workers_left(grace: float = 2.0) -> None:
+    """No pool worker may outlive ``map`` — not even one still running
+    a timed-out chunk (the sleeping straggler would last 8 s)."""
+    deadline = time.monotonic() + grace
+    while multiprocessing.active_children() and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert multiprocessing.active_children() == []
+
+
 class TestStragglerTimeout:
     def test_speculative_resubmit_wins(self, tmp_path):
         """First attempt of one chunk sleeps past the deadline; the
@@ -102,11 +114,13 @@ class TestStragglerTimeout:
             results = pool(FaultPolicy(timeout=0.5, retries=2)).map(fn, ITEMS)
         assert results == SERIAL
         assert session.metrics.counter("parallel.chunk_timeouts").value >= 1
+        assert_no_workers_left()
 
     def test_persistent_straggler_times_out(self):
         fn = FaultyFn(_double, (SlowItem(on=3, seconds=8.0),))
         with pytest.raises(ChunkTimeoutError, match="exceeded"):
             pool(FaultPolicy(timeout=0.3, retries=0)).map(fn, ITEMS)
+        assert_no_workers_left()
 
 
 class TestWorkerDeath:
