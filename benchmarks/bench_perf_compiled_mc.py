@@ -15,10 +15,15 @@ Environment knobs (used by the CI smoke job to keep runtime tiny):
 ``REPRO_BENCH_MC_JOBS``
     Comma-separated worker counts to ladder over (default ``2,4``).
 
-A warm-up batch runs first so the one-time costs (graph lowering plus
-the runtime ziggurat-table harvest, ~0.2 s per process) are paid before
-timing starts — exactly the steady state a sweep or repeated analysis
-sees, since plans and tables are cached per build / per process.
+A warm-up batch runs first so the one-time cost (graph lowering) is
+paid before timing starts — exactly the steady state a sweep or
+repeated analysis sees, since plans are cached per build.
+
+Two signatures are measured: a hand-built Exponential one
+(``perf_compiled_mc``) and the §5 default — an *empirical* signature
+measured by the microbenchmarks on the ``noisy`` machine preset, with
+its interval-scaled OS draws (``perf_compiled_mc_empirical``), so the
+regression guard covers the path users actually run.
 """
 
 import os
@@ -29,6 +34,8 @@ import numpy as np
 from benchmarks._common import emit, table
 from repro.apps import TokenRingParams, token_ring
 from repro.core import PerturbationSpec, build_graph, compiled_plan, monte_carlo
+from repro.machines import PRESETS
+from repro.microbench import measure_machine
 from repro.mpisim import run
 from repro.noise import Exponential, MachineSignature
 
@@ -52,7 +59,7 @@ def mc_spec():
 def test_compiled_mc_speedup(benchmark):
     build = mc_build()
     spec = mc_spec()
-    compiled_plan(build)  # lower once + harvest tables (cached afterwards)
+    compiled_plan(build)  # lower once (cached afterwards)
     monte_carlo(build, spec, replicates=4, engine="compiled")  # warm-up
 
     t0 = time.perf_counter()
@@ -101,9 +108,44 @@ def test_compiled_mc_speedup(benchmark):
     benchmark(lambda: monte_carlo(build, spec, replicates=REPLICATES, engine="compiled"))
 
 
-def test_compiled_mc_fallback_signature_equivalence():
-    """A signature with no vectorized fast path (LogNormal OS noise)
-    must still be bit-identical — only slower — via the scalar lanes."""
+def test_compiled_mc_empirical_signature():
+    """The §5 default: a measured empirical signature, serial only."""
+    build = mc_build()
+    report = measure_machine(PRESETS["noisy"](2, seed=0), seed=0)
+    spec = PerturbationSpec(report.to_signature(method="empirical"), seed=17)
+    compiled_plan(build)
+    monte_carlo(build, spec, replicates=4, engine="compiled")  # warm-up
+
+    t0 = time.perf_counter()
+    reference = monte_carlo(build, spec, replicates=REPLICATES, engine="graph")
+    t_graph = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    compiled = monte_carlo(build, spec, replicates=REPLICATES, engine="compiled")
+    t_compiled = time.perf_counter() - t0
+    assert np.array_equal(reference.samples, compiled.samples)
+
+    speedup = t_graph / t_compiled
+    rows = [
+        ["graph", REPLICATES, f"{t_graph * 1e3:.0f}", "1.00"],
+        ["compiled", REPLICATES, f"{t_compiled * 1e3:.0f}", f"{speedup:.2f}"],
+        ["cores", os.cpu_count() or 1, "", ""],
+    ]
+    emit(
+        "perf_compiled_mc_empirical",
+        table(["engine", "replicates", "time ms", "speedup"], rows, widths=[13, 10, 9, 8]),
+        params={
+            "replicates": REPLICATES,
+            "signature": "noisy/empirical",
+            "cores": os.cpu_count() or 1,
+        },
+        timings={"graph_serial_s": t_graph, "compiled_serial_s": t_compiled},
+        metrics={"speedup": {"serial": speedup}, "mc_mean_delay": reference.mean()},
+    )
+
+
+def test_compiled_mc_lognormal_signature_equivalence():
+    """Families beyond the hand-built Exponential one (LogNormal OS
+    noise here) go through the same sampler: bit-identical samples."""
     from repro.noise.distributions import LogNormal
 
     build = mc_build()

@@ -11,11 +11,12 @@ matter how many requests arrive for it:
   daemon restarts and file renames.
 * Live :class:`CacheEntry` objects (trace set + built graph) sit in a
   bounded LRU keyed by that digest.
-* In-flight builds are asyncio futures: the first request for a key
-  starts the build in a worker thread, every concurrent request for
-  the same key awaits the *same* task — exactly one ``build_graph``
-  runs (and, because :func:`repro.core.compiled.compiled_plan`
-  serializes per-build compiles, exactly one plan compile follows).
+* In-flight work is asyncio futures at two levels: concurrent requests
+  for the same *source* (directory or upload, stem, config) await one
+  hash-and-build task, and sources that hash to the same key await one
+  build task — exactly one ``build_graph`` runs (and, because
+  :func:`repro.core.compiled.compiled_plan` serializes per-build
+  compiles, exactly one plan compile follows).
 
 All scheduler state lives on the event loop: entries and in-flight maps
 are only touched from coroutines, never from worker threads, so there
@@ -163,6 +164,7 @@ class BuildCache:
         self.trace_root = trace_root
         self._entries: "OrderedDict[str, CacheEntry]" = OrderedDict()
         self._inflight: dict[str, asyncio.Task[CacheEntry]] = {}
+        self._resolving: dict[tuple[Any, ...], asyncio.Task[tuple[CacheEntry, bool]]] = {}
         self.builds = 0
         self.coalesced = 0
         self.hits = 0
@@ -175,16 +177,47 @@ class BuildCache:
     ) -> tuple[CacheEntry, bool]:
         """The cache entry for one validated request: ``(entry, cached)``.
 
-        ``cached`` is True when the request found a live entry or an
-        in-flight build (i.e. this request paid no build of its own).
+        ``cached`` is True when the request found a live entry or joined
+        an in-flight resolution (i.e. this request paid no build of its
+        own).  Concurrent requests naming the same *source* — directory
+        or uploaded bytes, stem, config — share one hash-and-build task,
+        so how long hashing takes cannot turn a joiner into a hit.
         """
         stem: str = request["stem"]
         upload: dict[str, str] | None = request["upload"]
         traces_dir: Path | None = None
+        if upload is None:
+            traces_dir = _resolve_traces_dir(request["traces"], self.trace_root)
+        source = (
+            stem,
+            config,
+            str(traces_dir) if upload is None else tuple(sorted(upload.items())),
+        )
+        task = self._resolving.get(source)
+        if task is not None and not task.done():
+            self.coalesced += 1
+            entry, _ = await asyncio.shield(task)
+            return entry, True
+        task = asyncio.ensure_future(self._resolve(traces_dir, stem, upload, config))
+        self._resolving[source] = task
+        task.add_done_callback(
+            lambda t: self._resolving.pop(source) if self._resolving.get(source) is t else None
+        )
+        return await asyncio.shield(task)
+
+    async def _resolve(
+        self,
+        traces_dir: Path | None,
+        stem: str,
+        upload: dict[str, str] | None,
+        config: BuildConfig,
+    ) -> tuple[CacheEntry, bool]:
+        """Hash one source, then hit the LRU, join an in-flight build of
+        the same content (another source with identical bytes), or build."""
         if upload is not None:
             key = await asyncio.to_thread(_upload_key, upload, config)
         else:
-            traces_dir = _resolve_traces_dir(request["traces"], self.trace_root)
+            assert traces_dir is not None
             key = await asyncio.to_thread(_dir_key, traces_dir, stem, config)
 
         entry = self._entries.get(key)

@@ -7,11 +7,13 @@ the suite carries no async test plugin).
 
 import asyncio
 import shutil
+import time
 
 import pytest
 
 from repro.core.primitives import BuildConfig
 from repro.mpisim import run_to_files
+from repro.serve import scheduler
 from repro.serve.scheduler import BuildCache, _dir_key, _upload_key
 from repro.serve.wire import ServeError
 from tests.conftest import _ring_program
@@ -90,7 +92,20 @@ class TestContentAddressing:
 
 
 class TestCoalescing:
-    def test_concurrent_requests_share_one_build(self, traces_dir):
+    def test_concurrent_requests_share_one_build(self, traces_dir, monkeypatch):
+        # A hash that gets slower per call: if requesters hashed on their
+        # own, the later ones would finish after the first build landed
+        # and count as hits.  Coalescing happens before hashing, so the
+        # result cannot depend on how long hashing takes.
+        calls = []
+
+        def slow_dir_key(directory, stem, config):
+            calls.append(stem)
+            time.sleep(0.05 * len(calls))
+            return _dir_key(directory, stem, config)
+
+        monkeypatch.setattr(scheduler, "_dir_key", slow_dir_key)
+
         async def main():
             cache = BuildCache(4)
             results = await asyncio.gather(
@@ -102,6 +117,7 @@ class TestCoalescing:
             # one requester paid, the rest coalesced onto its task
             assert sum(1 for _, cached in results if not cached) == 1
             assert cache.stats()["coalesced"] == 5
+            assert len(calls) == 1
             cache.clear()
         asyncio.run(main())
 
