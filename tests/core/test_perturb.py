@@ -54,6 +54,11 @@ class TestComposition:
         v = spec.sample(ds(DeltaKind.COLL_FANIN, rank=0, src=0, dst=0, nbytes=0, rounds=2))
         assert v == pytest.approx(2 * 13.0)
 
+    def test_coll_fanin_zero_rounds_draws_nothing(self, spec):
+        d = ds(DeltaKind.COLL_FANIN, rank=0, src=0, dst=0, nbytes=2, rounds=0)
+        assert spec.sample(d) == 0.0
+        assert spec.sample_many([d], [0.0]).tolist() == [0.0]
+
     def test_expected_matches_constants(self, spec):
         for kind, kw in [
             (DeltaKind.OS, dict(rank=0)),
