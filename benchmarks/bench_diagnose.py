@@ -1,9 +1,9 @@
-"""PERF — diagnosis pipeline cost and engine-agreement smoke.
+"""PERF — diagnosis pipeline cost and oracle-agreement smoke.
 
 Times one full ``diagnose_build`` pass (critical-path extraction,
 attribution, anomaly detection, MPG2xx rules) on a token-ring build,
-compares the three longest-path engines on the same build, and records
-the per-stage split.  The diagnosis is meant to ride along with every
+times the compiled extraction against the scalar longest-path oracle on
+the same build, and records the per-stage split.  The diagnosis is meant to ride along with every
 analysis — this bench keeps its cost visibly small relative to the
 Monte-Carlo propagation it accompanies.
 
@@ -15,8 +15,9 @@ import time
 
 from benchmarks._common import emit, table
 from repro.apps import TokenRingParams, token_ring
-from repro.core import build_graph
+from repro.core import build_graph, longest_weighted_path
 from repro.diagnose import DiagnoseConfig, diagnose_build, extract_critical_path
+from repro.diagnose.path import path_costs
 from repro.mpisim import run
 
 TRAVERSALS = int(os.environ.get("REPRO_BENCH_DIAG_TRAVERSALS", "8"))
@@ -34,18 +35,18 @@ def test_diagnose_pipeline(benchmark):
     report = benchmark(lambda: diagnose_build(build))
 
     t0 = time.perf_counter()
-    per_engine = {}
-    for engine in ("compiled", "incore", "graph"):
-        s = time.perf_counter()
-        cp = extract_critical_path(build, engine=engine)
-        per_engine[engine] = time.perf_counter() - s
-        assert cp.total_cost == report.critical_path.total_cost
-        assert cp.edges == report.critical_path.edges
-    t_engines = time.perf_counter() - t0
+    cp = extract_critical_path(build)
+    t_compiled = time.perf_counter() - t0
+    assert cp.edges == report.critical_path.edges
+    t0 = time.perf_counter()
+    L, pred = longest_weighted_path(build, path_costs(build).tolist())
+    t_oracle = time.perf_counter() - t0
+    sink = build.graph.final_node_of(cp.sink_rank)
+    assert L[sink] == cp.total_cost and pred[sink] == cp.edges[-1]
 
     rows = [
-        (engine, f"{dt * 1e3:.2f} ms", f"{len(report.critical_path)} edges")
-        for engine, dt in per_engine.items()
+        (name, f"{dt * 1e3:.2f} ms", f"{len(report.critical_path)} edges")
+        for name, dt in (("compiled", t_compiled), ("oracle", t_oracle))
     ]
     body = table(["engine", "extract time", "path"], rows)
     summary = (
@@ -53,14 +54,13 @@ def test_diagnose_pipeline(benchmark):
         f"n={len(build.graph.nodes)} graph: "
         f"{len(report.findings)} finding(s), makespan "
         f"{report.critical_path.total_cost:,.0f} cy "
-        f"(engines agree bit-for-bit)"
+        f"(compiled and oracle agree bit-for-bit)"
     )
     emit(
         "perf_diagnose",
         body + "\n" + summary,
         params={"traversals": TRAVERSALS, "nprocs": build.graph.nprocs},
-        timings={f"extract_{k}_s": v for k, v in per_engine.items()}
-        | {"engine_sweep_s": t_engines},
+        timings={"extract_compiled_s": t_compiled, "oracle_longest_path_s": t_oracle},
         metrics={
             "findings": len(report.findings),
             "path_edges": len(report.critical_path),

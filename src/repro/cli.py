@@ -68,6 +68,7 @@ from repro import obs
 from repro._util import atomic_write_text
 from repro.apps import ALL_APPS
 from repro.core import (
+    ENGINES,
     BuildConfig,
     CheckpointStore,
     ExperimentHistory,
@@ -80,7 +81,6 @@ from repro.core import (
     compiled_plan,
     critical_path,
     monte_carlo,
-    propagate,
     runtime_impact,
     sweep_scales,
     to_dot,
@@ -244,6 +244,46 @@ def _parse_jobs(value: str) -> int | None:
             f"--jobs expects an integer or 'auto', got {value!r}"
         ) from None
     return None if jobs < 0 else jobs
+
+
+def _at_least(minimum: int):
+    """argparse ``type=`` for an integer flag bounded below, with the
+    bounds the serve wire enforces (``replicates >= 0``, windows >= 1)."""
+
+    def parse(value: str) -> int:
+        try:
+            n = int(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {value!r}") from None
+        if n < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {n}")
+        return n
+
+    return parse
+
+
+def _quantile(value: str) -> float:
+    """argparse ``type=`` for a finite-support quantile cut in [0.5, 1)."""
+    try:
+        q = float(value)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {value!r}") from None
+    if not 0.5 <= q < 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0.5, 1), got {value}")
+    return q
+
+
+def _scales(value: str) -> list[float]:
+    """argparse ``type=`` for a non-empty comma-separated list of numbers."""
+    try:
+        scales = [float(s) for s in value.split(",") if s.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated numbers, got {value!r}"
+        ) from None
+    if not scales:
+        raise argparse.ArgumentTypeError("expected at least one number")
+    return scales
 
 
 def _add_jobs_arg(ap: argparse.ArgumentParser) -> None:
@@ -486,26 +526,31 @@ def main_analyze(argv: list[str] | None = None) -> int:
     _add_coarsen_arg(ap)
     ap.add_argument(
         "--engine",
-        choices=("auto", "incore", "graph", "streaming", "compiled"),
-        default="auto",
-        help="propagation engine: auto (= compiled), the in-core object graph "
-        "(incore / its alias graph), the windowed streaming traversal, or the "
-        "vectorized compiled plan — all bit-identical on the same seed",
+        choices=ENGINES,
+        default=ENGINES[0],
+        help="propagation engine: the compiled plan over the built graph (default), "
+        "or the windowed streaming traversal, which never builds the graph",
     )
-    ap.add_argument("--window", type=int, default=4096)
+    ap.add_argument(
+        "--window",
+        type=_at_least(1),
+        default=4096,
+        help="streaming engine: how many events a rank may run ahead of the "
+        "slowest one (default 4096)",
+    )
     ap.add_argument("--history", help="append the experiment to this history JSONL")
     ap.add_argument("--name", default="analysis", help="experiment name for the history")
     ap.add_argument(
         "--show-path",
         action="store_true",
-        help="print the critical path's top contributing edges (in-core engine only)",
+        help="print the critical path's top contributing edges (compiled engine only)",
     )
     ap.add_argument(
         "--replicates",
-        type=int,
+        type=_at_least(0),
         default=0,
         help="Monte-Carlo replicates for the runtime-delay distribution "
-        "(0 = single propagation only; in-core engine)",
+        "(0 = single propagation only; compiled engine only)",
     )
     ap.add_argument(
         "--diagnose",
@@ -533,7 +578,7 @@ def main_analyze(argv: list[str] | None = None) -> int:
     )
     ap.add_argument(
         "--pop-windows",
-        type=int,
+        type=_at_least(1),
         default=12,
         metavar="N",
         help="time windows for the --pop-metrics timeline (default 12)",
@@ -558,7 +603,7 @@ def main_analyze(argv: list[str] | None = None) -> int:
     )
     ap.add_argument(
         "--verify-quantile",
-        type=float,
+        type=_quantile,
         default=None,
         metavar="Q",
         help="finite-support cut for unbounded distribution families in the "
@@ -566,13 +611,13 @@ def main_analyze(argv: list[str] | None = None) -> int:
     )
     args = ap.parse_args(argv)
     _configure_logging(args)
-    engine = {"auto": "compiled", "graph": "incore"}.get(args.engine, args.engine)
-    if args.replicates and engine == "streaming":
-        raise SystemExit("--replicates requires a graph engine (incore or compiled)")
-    if args.diagnose and engine == "streaming":
-        raise SystemExit("--diagnose requires a graph engine (incore or compiled)")
-    if args.verify and engine == "streaming":
-        raise SystemExit("--verify requires a graph engine (incore or compiled)")
+    engine = args.engine
+    if engine == "streaming":
+        for flag in ("replicates", "diagnose", "verify"):
+            if getattr(args, flag):
+                raise SystemExit(
+                    f"--{flag} requires the compiled engine (streaming never builds the graph)"
+                )
 
     session = _start_observability(args, "repro-analyze")
     with obs.span("analyze", engine=engine, mode=args.mode):
@@ -651,15 +696,12 @@ def main_analyze(argv: list[str] | None = None) -> int:
                         f"({', '.join(sorted({f.rule_id for f in vreport.errors}))}); "
                         f"refusing to analyze — run repro-verify for the full report"
                     )
-            if engine == "compiled":
-                plan = compiled_plan(
-                    build,
-                    coarsen=args.coarsen,
-                    checkpoint=CheckpointStore.coerce(args.checkpoint),
-                )
-                result = plan.propagate_one(spec, mode=args.mode)
-            else:
-                result = propagate(build, spec, mode=args.mode)
+            plan = compiled_plan(
+                build,
+                coarsen=args.coarsen,
+                checkpoint=CheckpointStore.coerce(args.checkpoint),
+            )
+            result = plan.propagate_one(spec, mode=args.mode)
             with obs.span("analysis"):
                 correctness = check_correctness(build, result)
                 impact = runtime_impact(build, result)
@@ -684,7 +726,6 @@ def main_analyze(argv: list[str] | None = None) -> int:
                     replicates=args.replicates,
                     mode=args.mode,
                     jobs=args.jobs,
-                    engine="compiled" if engine == "compiled" else "graph",
                     policy=_fault_policy(args),
                     coarsen=args.coarsen,
                     bounds=vbounds,
@@ -699,7 +740,6 @@ def main_analyze(argv: list[str] | None = None) -> int:
                 from repro.diagnose import DiagnoseConfig, diagnose_build
 
                 dconfig = DiagnoseConfig(
-                    engine=engine,
                     coarsen=args.coarsen,
                     replicates=args.replicates,
                     seed=args.seed,
@@ -739,12 +779,18 @@ def main_sweep(argv: list[str] | None = None) -> int:
     _add_obs_args(ap)
     _add_lint_arg(ap)
     _add_coarsen_arg(ap)
-    ap.add_argument("--scales", default="0,0.25,0.5,1,2,4", help="comma-separated scale factors")
+    ap.add_argument(
+        "--scales",
+        type=_scales,
+        default="0,0.25,0.5,1,2,4",
+        help="comma-separated scale factors, each multiplying --scale",
+    )
     ap.add_argument(
         "--engine",
-        choices=("auto", "incore", "graph", "streaming", "compiled"),
-        default="auto",
-        help="sweep engine (auto = compiled; all engines give identical points)",
+        choices=ENGINES,
+        default=ENGINES[0],
+        help="sweep engine: the compiled plan (default) or the streaming traversal, "
+        "which never builds the graph; both give the same points",
     )
     args = ap.parse_args(argv)
     _configure_logging(args)
@@ -754,11 +800,10 @@ def main_sweep(argv: list[str] | None = None) -> int:
     _preflight_lint(args, traces, _build_config(args))
     sig = _load_signature(args)
     spec = PerturbationSpec(sig, seed=args.seed, scale=args.scale)
-    scales = [float(s) for s in args.scales.split(",") if s.strip()]
     result = sweep_scales(
         traces,
         spec,
-        scales,
+        args.scales,
         mode=args.mode,
         engine=args.engine,
         config=_build_config(args),
@@ -1001,11 +1046,10 @@ def _add_diagnose_threshold_args(ap: argparse.ArgumentParser) -> None:
     )
 
 
-def _diagnose_config(args, engine: str):
+def _diagnose_config(args):
     from repro.diagnose import DiagnoseConfig
 
     return DiagnoseConfig(
-        engine=engine,
         coarsen=args.coarsen,
         replicates=args.replicates,
         seed=args.seed,
@@ -1037,17 +1081,10 @@ def main_diagnose(argv: list[str] | None = None) -> int:
         help="report format (sarif = SARIF 2.1.0 for GitHub code scanning)",
     )
     ap.add_argument("--out", help="write the report to this file instead of stdout")
-    ap.add_argument(
-        "--engine",
-        choices=("auto", "compiled", "incore", "graph"),
-        default="auto",
-        help="longest-path kernel (auto = compiled); the extracted path is "
-        "bit-identical whichever runs",
-    )
     _add_coarsen_arg(ap)
     ap.add_argument(
         "--replicates",
-        type=int,
+        type=_at_least(0),
         default=0,
         help="Monte-Carlo replicates for the replicate-delay anomaly metric "
         "(0 = off; needs --signature or --measure)",
@@ -1081,7 +1118,7 @@ def main_diagnose(argv: list[str] | None = None) -> int:
     if not args.traces or not args.stem:
         ap.error("--traces and --stem are required (unless --list-rules)")
 
-    config = _diagnose_config(args, args.engine)
+    config = _diagnose_config(args)
     signature = None
     if args.replicates > 0:
         signature = _load_signature(args)
@@ -1141,7 +1178,7 @@ def main_metrics(argv: list[str] | None = None) -> int:
     )
     ap.add_argument(
         "--windows",
-        type=int,
+        type=_at_least(1),
         default=16,
         metavar="N",
         help="time windows for the efficiency timeline (default 16)",
@@ -1278,7 +1315,7 @@ def main_verify(argv: list[str] | None = None) -> int:
     ap.add_argument("--measure-nprocs", type=int, default=2)
     ap.add_argument(
         "--quantile",
-        type=float,
+        type=_quantile,
         default=None,
         metavar="Q",
         help="finite-support cut for unbounded distribution families: intervals "
@@ -1290,15 +1327,8 @@ def main_verify(argv: list[str] | None = None) -> int:
     ap.add_argument("--mode", choices=("additive", "threshold"), default="additive")
     _add_coarsen_arg(ap)
     ap.add_argument(
-        "--engine",
-        choices=("auto", "compiled", "graph"),
-        default="auto",
-        help="Monte-Carlo engine for the --replicates containment cross-check "
-        "(auto = compiled; both bit-identical)",
-    )
-    ap.add_argument(
         "--replicates",
-        type=int,
+        type=_at_least(0),
         default=0,
         help="also propagate N actual Monte-Carlo replicates and cross-check "
         "every one against the certified bounds (0 = static only; needs "
@@ -1336,7 +1366,6 @@ def main_verify(argv: list[str] | None = None) -> int:
         scale=args.scale,
         mode=args.mode,
         coarsen=args.coarsen,
-        engine=args.engine,
         replicates=args.replicates,
         seed=args.seed,
         matches=not args.no_matches,
@@ -1551,7 +1580,7 @@ def _client_payload(args, kind: str) -> dict:
     if getattr(args, "signature", None):
         job["signature"] = MachineSignature.load(args.signature).to_dict()
     params: dict = {}
-    for key in ("seed", "scale", "mode", "engine", "coarsen", "replicates", "windows"):
+    for key in ("seed", "scale", "mode", "coarsen", "replicates", "windows", "scales"):
         value = getattr(args, key, None)
         if value is not None:
             params[key] = value
@@ -1563,8 +1592,6 @@ def _client_payload(args, kind: str) -> dict:
         params["quantile"] = args.quantile
     if getattr(args, "no_matches", False):
         params["matches"] = False
-    if getattr(args, "scales", None):
-        params["scales"] = [float(s) for s in args.scales.split(",") if s.strip()]
     if params:
         job["params"] = params
     if getattr(args, "inject", None):
@@ -1606,36 +1633,31 @@ def main_client(argv: list[str] | None = None) -> int:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--scale", type=float, default=None)
         p.add_argument("--mode", choices=("additive", "threshold"), default=None)
-        p.add_argument(
-            "--engine",
-            choices=("auto", "incore", "graph", "streaming", "compiled"),
-            default=None,
-        )
         p.add_argument("--coarsen", choices=("auto", "on", "off"), default=None)
         p.add_argument("--collective-mode", choices=("hub", "butterfly"), default=None)
         p.add_argument("--eager-threshold", type=int, default=None)
 
     p = add_job("analyze", needs_signature=True)
     add_analysis_params(p)
-    p.add_argument("--replicates", type=int, default=None)
+    p.add_argument("--replicates", type=_at_least(0), default=None)
 
     p = add_job("sweep", needs_signature=True)
     add_analysis_params(p)
-    p.add_argument("--scales", default=None, help="comma-separated scale factors")
+    p.add_argument("--scales", type=_scales, default=None, help="comma-separated scale factors")
 
     p = add_job("diagnose", needs_signature=True)
     add_analysis_params(p)
-    p.add_argument("--replicates", type=int, default=None)
+    p.add_argument("--replicates", type=_at_least(0), default=None)
 
     p = add_job("metrics", needs_signature=False)
-    p.add_argument("--windows", type=int, default=None)
+    p.add_argument("--windows", type=_at_least(1), default=None)
     p.add_argument("--collective-mode", choices=("hub", "butterfly"), default=None)
     p.add_argument("--eager-threshold", type=int, default=None)
 
     p = add_job("verify", needs_signature=True)
     add_analysis_params(p)
-    p.add_argument("--replicates", type=int, default=None)
-    p.add_argument("--quantile", type=float, default=None)
+    p.add_argument("--replicates", type=_at_least(0), default=None)
+    p.add_argument("--quantile", type=_quantile, default=None)
     p.add_argument("--no-matches", action="store_true")
 
     args = ap.parse_args(argv)

@@ -45,7 +45,6 @@ from repro.core.parallel import (
     SerialBackend,
     available_cpus,
     map_replicate_batches,
-    map_replicates,
     replicate_items,
     resolve_backend,
 )
@@ -53,13 +52,12 @@ from repro.core.perturb import PerturbationSpec
 from repro.core.primitives import BuildConfig
 from repro.core.sweep import SweepPoint, SweepResult, fit_slope, sweep_scales, sweep_signatures
 from repro.core.traversal import (
+    ENGINES,
     StreamingTraversal,
     TraversalResult,
     longest_weighted_path,
     propagate,
     propagate_absolute,
-    propagate_presampled,
-    sample_edge_deltas,
 )
 from repro.core.window import WindowedGraph, extract_window
 
@@ -108,7 +106,6 @@ __all__ = [
     "available_cpus",
     "resolve_backend",
     "map_replicate_batches",
-    "map_replicates",
     "replicate_items",
     "CheckpointStore",
     "ShardKey",
@@ -129,6 +126,5 @@ __all__ = [
     "longest_weighted_path",
     "propagate",
     "propagate_absolute",
-    "propagate_presampled",
-    "sample_edge_deltas",
+    "ENGINES",
 ]

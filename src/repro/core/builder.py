@@ -140,7 +140,7 @@ def build_graph(trace_set, config: BuildConfig | None = None) -> BuildResult:
     and ``load_all``).
     """
     config = config or BuildConfig()
-    with obs.span("build_graph", engine="incore"):
+    with obs.span("build_graph"):
         with obs.span("read_traces"):
             per_rank: list[list[EventRecord]] = trace_set.load_all()
         nprocs = trace_set.nprocs

@@ -522,6 +522,10 @@ class CompiledPlan:
     ) -> CompiledBatch:
         """Propagate one pre-sampled raw row at many scales (sweep fast
         path): row i of the result uses ``raw_base * scales[i]``."""
+        if raw_base.shape != (self.n_edges,):
+            raise ValueError(
+                f"raw_base length {raw_base.shape} does not match {self.n_edges} edges"
+            )
         if self.coarse is not None:
             return self._coarse_presampled(raw_base, scales, mode)
         raw = raw_base[None, :] * np.asarray(scales, dtype=np.float64)[:, None]

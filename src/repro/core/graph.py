@@ -297,9 +297,16 @@ class MessagePassingGraph:
         ``t_local``, ``label``, ``virtual``.  Edge attributes: ``kind``,
         ``weight``, ``delta_kind``, ``label``.  A MultiDiGraph is used
         because templates may legitimately emit parallel edges between
-        the same subevent pair.
+        the same subevent pair.  Needs the optional ``networkx`` extra
+        (``pip install repro[networkx]``).
         """
-        import networkx as nx
+        try:
+            import networkx as nx
+        except ImportError as exc:
+            raise ImportError(
+                "MessagePassingGraph.to_networkx needs networkx, which is optional: "
+                "pip install 'repro[networkx]'"
+            ) from exc
 
         g = nx.MultiDiGraph(nprocs=self.nprocs)
         for n in self.nodes:

@@ -28,12 +28,8 @@ from repro.core.checkpoint import (
     resolve_rows,
     signature_digest,
 )
-from repro.core.parallel import (
-    FaultPolicy,
-    map_replicate_batches,
-    map_replicates,
-    replicate_items,
-)
+from repro.core.compiled import compiled_plan
+from repro.core.parallel import FaultPolicy, map_replicate_batches, replicate_items
 from repro.core.diagnostics import DiagnosticError
 from repro.core.perturb import PerturbationSpec
 
@@ -41,10 +37,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.verify.bounds import MakespanBounds
 
 __all__ = ["DelayDistribution", "monte_carlo"]
-
-#: Engines accepted by :func:`monte_carlo` — "auto" picks the compiled
-#: plan (bit-identical to "graph", the object-graph reference engine).
-ENGINES = ("auto", "compiled", "graph")
 
 
 @dataclass(frozen=True)
@@ -117,7 +109,6 @@ def monte_carlo(
     mode: str = "additive",
     jobs: int | None = 0,
     chunk_size: int | None = None,
-    engine: str = "auto",
     policy: FaultPolicy | None = None,
     checkpoint: CheckpointStore | str | None = None,
     resume: bool = False,
@@ -134,13 +125,12 @@ def monte_carlo(
     N >= 2 = a pool of N.  Results are bit-identical across backends
     because every replicate carries its own seed.
 
-    ``engine`` selects the propagation engine: ``"compiled"`` (and the
-    ``"auto"`` default) lowers the build once into a
-    :class:`~repro.core.compiled.CompiledPlan` and runs all replicates
-    through the replicate-batched numpy kernel, returning the
-    ``(replicates, nprocs)`` sample matrix directly; ``"graph"`` is the
-    per-replicate object-graph reference engine.  Both produce
-    bit-identical samples.
+    The build is lowered once into a :class:`~repro.core.compiled.
+    CompiledPlan` and all replicates run through its replicate-batched
+    numpy kernel, which returns the ``(replicates, nprocs)`` sample
+    matrix directly.  Row ``i`` is bit-identical to the scalar
+    reference ``propagate(build, PerturbationSpec(signature, seed + i,
+    scale), mode).final_delay``.
 
     ``policy`` governs chunk-level timeouts/retries/failure handling in
     the pool backend (:class:`~repro.core.parallel.FaultPolicy`).  Under
@@ -148,7 +138,7 @@ def monte_carlo(
 
     ``checkpoint`` (a directory or :class:`~repro.core.checkpoint.
     CheckpointStore`) persists one shard per replicate, keyed by
-    ``(seed, signature digest, scale, mode, engine, build digest)``;
+    ``(seed, signature digest, scale, mode, "compiled", build digest)``;
     ``resume=True`` reads existing shards first and computes only the
     missing replicates — bit-identical to an uninterrupted run, because
     every replicate is a pure function of its key.
@@ -169,27 +159,17 @@ def monte_carlo(
     The bounds must certify the same ``scale`` and ``mode`` as this
     run (``repro-analyze --verify`` wires this up).
     """
-    if engine not in ENGINES:
-        raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
-    resolved = "graph" if engine == "graph" else "compiled"
     store = CheckpointStore.coerce(checkpoint)
-    with obs.span("monte_carlo", replicates=replicates, mode=mode, jobs=jobs, engine=engine):
+    with obs.span("monte_carlo", replicates=replicates, mode=mode, jobs=jobs):
         items = replicate_items(spec, replicates)
         seeds = tuple(seed for seed, _ in items)
 
         def compute(indices) -> list:
-            sub = [items[i] for i in indices]
-            if resolved == "graph":
-                return map_replicates(
-                    build, sub, mode=mode, jobs=jobs, chunk_size=chunk_size, policy=policy
-                )
-            from repro.core.compiled import compiled_plan
-
             return list(
                 map_replicate_batches(
                     compiled_plan(build, coarsen=coarsen, checkpoint=store),
                     spec.signature,
-                    [seed for seed, _ in sub],
+                    [seeds[i] for i in indices],
                     scale=spec.scale,
                     mode=mode,
                     jobs=jobs,
@@ -204,7 +184,7 @@ def monte_carlo(
             sig_digest = signature_digest(spec.signature)
             context = build_digest(build)
             keys = [
-                ShardKey("mc", seed, sig_digest, spec.scale, mode, resolved, context)
+                ShardKey("mc", seed, sig_digest, spec.scale, mode, "compiled", context)
                 for seed in seeds
             ]
             rows = resolve_rows(store, keys, compute, resume=resume)

@@ -20,14 +20,15 @@ clamped at zero and multiplied by ``nbytes`` for δ_t terms, then summed
 in recipe order and multiplied by the spec's ``scale``.  The only
 implementation is :class:`DeltaSampler`, which evaluates the recipe for
 a block of edges (structure-of-arrays :class:`DeltaColumns`) and any
-number of seeds at once.  Every engine calls it — the in-core
-traversal through :meth:`PerturbationSpec.sample_many`, the streaming
+number of seeds at once.  Every traversal calls it — the scalar
+oracle :func:`~repro.core.traversal.propagate` through
+:meth:`PerturbationSpec.sample_many`, the streaming
 traversal edge by edge through :meth:`PerturbationSpec.sample` (a
 one-edge sampler, :meth:`DeltaSampler.sample_lane`), the compiled plan
 over its edge columns — so they agree bit for bit *by construction*:
 
 * the same value for the same edge regardless of visit order, engine,
-  batch shape or process, so in-core, streaming and compiled results
+  batch shape or process, so scalar, streaming and compiled results
   are identical (the ABL2 experiment's invariant);
 * re-running an analysis with the same seed reproduces it exactly, which
   the experiment history (§7 future work) relies on.

@@ -26,30 +26,14 @@ from repro.core.checkpoint import (
     signature_digest,
     trace_digest,
 )
+from repro.core.compiled import compiled_plan
 from repro.core.parallel import FaultPolicy, resolve_backend
 from repro.core.perturb import PerturbationSpec
 from repro.core.primitives import BuildConfig
-from repro.core.traversal import (
-    StreamingTraversal,
-    TraversalResult,
-    propagate,
-    propagate_presampled,
-    sample_edge_deltas,
-)
+from repro.core.traversal import ENGINES, StreamingTraversal
 from repro.noise.signature import MachineSignature
 
 __all__ = ["SweepPoint", "SweepResult", "sweep_scales", "sweep_signatures", "fit_slope"]
-
-#: Sweep engines: the in-core object graph, the windowed streaming
-#: traversal, or the compiled numpy plan.  "auto" resolves to compiled,
-#: "graph" is an alias for incore (matching the analyze CLI spelling).
-SWEEP_ENGINES = ("auto", "incore", "graph", "streaming", "compiled")
-
-
-def _resolve_engine(engine: str) -> str:
-    if engine not in SWEEP_ENGINES:
-        raise ValueError(f"engine must be one of {SWEEP_ENGINES}, got {engine!r}")
-    return {"auto": "compiled", "graph": "incore"}.get(engine, engine)
 
 
 @dataclass(frozen=True)
@@ -116,68 +100,47 @@ def fit_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
     return float(np.polyfit(xs, ys, 1)[0])
 
 
-def _run_one(
-    trace_set,
-    build: BuildResult | None,
-    spec: PerturbationSpec,
-    mode: str,
-    engine: str,
-    config: BuildConfig,
-    coarsen: str = "auto",
-    store: CheckpointStore | None = None,
-) -> TraversalResult:
-    if engine == "incore":
-        assert build is not None
-        return propagate(build, spec, mode=mode)
-    if engine == "compiled":
-        from repro.core.compiled import compiled_plan
+def _check_engine(engine: str) -> None:
+    if engine not in ENGINES:
+        raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
 
-        assert build is not None
-        plan = compiled_plan(build, coarsen=coarsen, checkpoint=store)
-        return plan.propagate_one(spec, mode=mode)
+
+def _payload(
+    engine: str, trace_set, build: BuildResult | None, mode: str, config, coarsen: str, store
+):
+    """``(engine, carrier, mode, config)`` for :func:`_sweep_worker`; the
+    carrier is what the engine traverses: the build's compiled plan, or
+    the trace set itself for the streaming engine."""
     if engine == "streaming":
-        return StreamingTraversal(spec, config=config, mode=mode).run(trace_set)
-    raise ValueError(f"engine must be 'incore', 'compiled', or 'streaming', got {engine!r}")
+        return engine, trace_set, mode, config
+    return engine, compiled_plan(build, coarsen=coarsen, checkpoint=store), mode, config
 
 
 def _sweep_worker(payload, spec: PerturbationSpec) -> list[float]:
-    """Worker body for parallel sweeps: one point's final delays.
-
-    ``carrier`` is the built graph (in-core engine) or the trace set
-    (streaming engine) — whichever the engine traverses.
-    """
+    """One point's final delays (also the pool worker body)."""
     engine, carrier, mode, config = payload
     with obs.span("sweep_point", engine=engine, scale=spec.scale):
         obs.span_add("sweep.points")
-        if engine == "incore":
-            return propagate(carrier, spec, mode=mode).final_delay
         if engine == "compiled":
-            return list(carrier.propagate_batch(spec, mode=mode).delays[0])
+            return carrier.propagate_batch(spec, mode=mode).delays[0].tolist()
         return StreamingTraversal(spec, config=config, mode=mode).run(carrier).final_delay
 
 
-def _map_points(
-    specs: Sequence[PerturbationSpec],
-    trace_set,
-    build: BuildResult | None,
-    mode: str,
-    engine: str,
-    config: BuildConfig,
-    jobs: int | None,
-    policy: FaultPolicy | None = None,
-    coarsen: str = "auto",
-    store: CheckpointStore | None = None,
-) -> list[list[float]]:
-    backend = resolve_backend(jobs, policy=policy)
-    if engine == "incore":
-        carrier = build
-    elif engine == "compiled":
-        from repro.core.compiled import compiled_plan
+def _point_rows(payload, specs: Sequence[PerturbationSpec], jobs, policy):
+    """Yield one per-rank delay row per spec, in order.
 
-        carrier = compiled_plan(build, coarsen=coarsen, checkpoint=store)
-    else:
-        carrier = trace_set
-    return backend.map(_sweep_worker, specs, payload=(engine, carrier, mode, config))
+    A generator on purpose: checkpointed sweeps persist each row as it
+    arrives, so a run killed mid-ladder keeps every completed point.
+    ``jobs >= 2`` fans the points out over worker processes; a skipped
+    point comes back None.
+    """
+    backend = resolve_backend(jobs, policy=policy)
+    if backend.jobs >= 2:
+        for row in backend.map(_sweep_worker, specs, payload=payload):
+            yield tuple(row) if row is not None else None
+        return
+    for spec in specs:
+        yield tuple(_sweep_worker(payload, spec))
 
 
 def _context_digest(build: BuildResult | None, trace_set) -> str:
@@ -190,61 +153,24 @@ def _point(label: str, x: float, row, mode: str, nprocs: int) -> SweepPoint:
     return SweepPoint(label=label, x=x, delays=delays, mode=mode)
 
 
-def _scale_rows(
-    trace_set,
-    build: BuildResult | None,
-    spec: PerturbationSpec,
-    scales: Sequence[float],
-    mode: str,
-    engine: str,
-    config: BuildConfig,
-    jobs: int | None,
-    policy: FaultPolicy | None,
-    coarsen: str = "auto",
-    store: CheckpointStore | None = None,
-):
+def _scale_rows(payload, spec: PerturbationSpec, scales: Sequence[float], jobs, policy):
     """Yield one per-rank delay row per scale, in ladder order.
 
-    A generator on purpose: checkpointed sweeps persist each row as it
-    arrives, so a run killed mid-ladder keeps every completed point.
+    Point ``s`` runs at the effective scale ``spec.scale * s`` on every
+    engine.  The compiled plan samples the edge deltas once and pushes
+    the whole ladder through one replicate-batched kernel pass.
     """
+    engine, carrier, mode, _ = payload
+    if engine == "streaming":
+        yield from _point_rows(payload, [spec.scaled(spec.scale * s) for s in scales], jobs, policy)
+        return
     if not scales:
         return
-    if engine == "compiled":
-        from repro.core.compiled import compiled_plan
-
-        plan = compiled_plan(build, coarsen=coarsen, checkpoint=store)
-        raw = plan.sample_raw_batch(spec.signature, [spec.seed], 1.0)[0]
-        batch = plan.propagate_presampled_batch(raw, [spec.scale * s for s in scales], mode=mode)
-        obs.add("sweep.points", len(scales))
-        for row in batch.delays:
-            yield tuple(row)
-        return
-    backend = resolve_backend(jobs, policy=policy)
-    if backend.jobs >= 2:
-        # One full propagation per point — identical results to the
-        # presampled fast path (deterministic sampling), run anywhere.
-        specs = [
-            PerturbationSpec(spec.signature, spec.seed, spec.scale * s)
-            if engine == "incore"
-            else spec.scaled(s)
-            for s in scales
-        ]
-        for row in _map_points(
-            specs, trace_set, build, mode, engine, config, jobs, policy, coarsen, store
-        ):
-            yield tuple(row) if row is not None else None
-        return
-    raw = sample_edge_deltas(build, spec) if engine == "incore" else None
-    for s in scales:
-        if engine == "incore":
-            # Sample once, re-propagate per scale (identical results to a
-            # fresh propagate — deterministic sampling — but much faster).
-            tr = propagate_presampled(build, raw, scale=spec.scale * s, mode=mode)
-        else:
-            tr = _run_one(trace_set, build, spec.scaled(s), mode, engine, config, coarsen, store)
-        obs.add("sweep.points")
-        yield tuple(tr.final_delay)
+    raw = carrier.sample_raw_batch(spec.signature, [spec.seed], 1.0)[0]
+    batch = carrier.propagate_presampled_batch(raw, [spec.scale * s for s in scales], mode=mode)
+    obs.add("sweep.points", len(scales))
+    for row in batch.delays:
+        yield tuple(row)
 
 
 def sweep_scales(
@@ -252,7 +178,7 @@ def sweep_scales(
     spec: PerturbationSpec,
     scales: Sequence[float],
     mode: str = "additive",
-    engine: str = "incore",
+    engine: str = ENGINES[0],
     config: BuildConfig | None = None,
     jobs: int | None = 0,
     policy: FaultPolicy | None = None,
@@ -263,27 +189,27 @@ def sweep_scales(
 ) -> SweepResult:
     """Run the traversal once per global scale factor.
 
-    The graph is built (or matched) once; only delta sampling changes
-    between points, so the sweep isolates the noise response.  A caller
-    that already holds the built graph (the serving daemon's build
-    cache, a notebook that analyzed first) can pass it via ``build`` to
-    skip the rebuild — it must be the graph of ``trace_set`` under
-    ``config``, and results are bit-identical either way.  The
-    streaming engine traverses the traces directly and ignores it.
+    Point ``s`` perturbs with ``spec.scale * s``.  The graph is built
+    (or matched) once; only delta sampling changes between points, so
+    the sweep isolates the noise response.  A caller that already holds
+    the built graph (the serving daemon's build cache, a notebook that
+    analyzed first) can pass it via ``build`` to skip the rebuild — it
+    must be the graph of ``trace_set`` under ``config``, and results are
+    bit-identical either way.
 
-    ``jobs >= 2`` (or None = auto) fans the points out across worker
-    processes (:mod:`repro.core.parallel`); deterministic sampling makes
-    the results bit-identical to the serial sweep.  ``policy`` is the
-    pool's :class:`~repro.core.parallel.FaultPolicy` (chunk timeouts,
-    retries, ``on_failure``); a skipped point's delays come back NaN.
-
-    The ``"compiled"`` engine (or ``"auto"``) samples the edge deltas
-    once and pushes the whole scale ladder through one replicate-batched
-    kernel pass — every point in a single numpy invocation, so ``jobs``
-    is moot there.  Results stay bit-identical to the other engines.
+    ``engine`` is one of :data:`~repro.core.traversal.ENGINES`.  The
+    ``"compiled"`` default samples the edge deltas once and pushes the
+    whole scale ladder through one replicate-batched kernel pass, so
+    ``jobs`` is moot there.  ``"streaming"`` traverses the traces
+    directly, never builds the graph, and ignores ``build``; ``jobs >=
+    2`` (or None = auto) fans its points out across worker processes
+    (:mod:`repro.core.parallel`) with results bit-identical to the
+    serial sweep.  ``policy`` is the pool's
+    :class:`~repro.core.parallel.FaultPolicy` (chunk timeouts, retries,
+    ``on_failure``); a skipped point's delays come back NaN.
 
     ``checkpoint`` persists one shard per ladder point as it completes,
-    keyed by ``(seed, signature digest, effective scale, mode, engine,
+    keyed by ``(seed, signature digest, spec.scale * s, mode, engine,
     build digest)``; ``resume=True`` reads existing shards and computes
     only the missing points, bit-identical to an uninterrupted run.
 
@@ -291,7 +217,7 @@ def sweep_scales(
     (``"auto"``/``"on"``/``"off"``, see :mod:`repro.core.coarsen`);
     with a checkpoint store the compiled plan is persisted too.
     """
-    engine = _resolve_engine(engine)
+    _check_engine(engine)
     config = config or BuildConfig()
     store = CheckpointStore.coerce(checkpoint)
     scales = [float(s) for s in scales]
@@ -302,37 +228,17 @@ def sweep_scales(
             build = build_graph(trace_set, config)
 
         def compute(indices):
-            return _scale_rows(
-                trace_set,
-                build,
-                spec,
-                [scales[i] for i in indices],
-                mode,
-                engine,
-                config,
-                jobs,
-                policy,
-                coarsen,
-                store,
-            )
+            payload = _payload(engine, trace_set, build, mode, config, coarsen, store)
+            return _scale_rows(payload, spec, [scales[i] for i in indices], jobs, policy)
 
         if store is None:
             rows = list(compute(range(len(scales))))
         else:
             context = _context_digest(build, trace_set)
             sig_digest = signature_digest(spec.signature)
-            # Streaming sweeps scale the spec directly (scaled(s)); the
-            # graph engines multiply into spec.scale — key on whichever
-            # effective scale actually drives the sampling.
             keys = [
                 ShardKey(
-                    "sweep_scales",
-                    spec.seed,
-                    sig_digest,
-                    s if engine == "streaming" else spec.scale * s,
-                    mode,
-                    engine,
-                    context,
+                    "sweep_scales", spec.seed, sig_digest, spec.scale * s, mode, engine, context
                 )
                 for s in scales
             ]
@@ -344,40 +250,13 @@ def sweep_scales(
         return result
 
 
-def _signature_rows(
-    trace_set,
-    build: BuildResult | None,
-    specs: Sequence[PerturbationSpec],
-    mode: str,
-    engine: str,
-    config: BuildConfig,
-    jobs: int | None,
-    policy: FaultPolicy | None,
-    coarsen: str = "auto",
-    store: CheckpointStore | None = None,
-):
-    """Yield one per-rank delay row per signature spec (generator, like
-    :func:`_scale_rows`, so checkpointed ladders persist incrementally)."""
-    backend = resolve_backend(jobs, policy=policy)
-    if backend.jobs >= 2:
-        for row in _map_points(
-            specs, trace_set, build, mode, engine, config, jobs, policy, coarsen, store
-        ):
-            yield tuple(row) if row is not None else None
-        return
-    for spec in specs:
-        tr = _run_one(trace_set, build, spec, mode, engine, config, coarsen, store)
-        obs.add("sweep.points")
-        yield tuple(tr.final_delay)
-
-
 def sweep_signatures(
     trace_set,
     signatures: Sequence[MachineSignature],
     xs: Sequence[float] | None = None,
     seed: int = 0,
     mode: str = "additive",
-    engine: str = "incore",
+    engine: str = ENGINES[0],
     config: BuildConfig | None = None,
     jobs: int | None = 0,
     policy: FaultPolicy | None = None,
@@ -388,12 +267,13 @@ def sweep_signatures(
     """Run the traversal once per machine signature (platform ladder).
 
     ``xs`` supplies the numeric sweep coordinate per signature (e.g.
-    mean noise in cycles); defaults to the signature index.  ``jobs``,
-    ``policy``, ``checkpoint`` and ``resume`` behave exactly as in
-    :func:`sweep_scales`; checkpoint shards key on each *signature's*
-    content digest, so every ladder rung is independently resumable.
+    mean noise in cycles); defaults to the signature index.  ``engine``,
+    ``jobs`` (which fan out the points on both engines), ``policy``,
+    ``checkpoint`` and ``resume`` behave as in :func:`sweep_scales`;
+    checkpoint shards key on each *signature's* content digest, so every
+    ladder rung is independently resumable.
     """
-    engine = _resolve_engine(engine)
+    _check_engine(engine)
     config = config or BuildConfig()
     if xs is not None and len(xs) != len(signatures):
         raise ValueError("xs must align with signatures")
@@ -403,18 +283,8 @@ def sweep_signatures(
         specs = [PerturbationSpec(sig, seed=seed) for sig in signatures]
 
         def compute(indices):
-            return _signature_rows(
-                trace_set,
-                build,
-                [specs[i] for i in indices],
-                mode,
-                engine,
-                config,
-                jobs,
-                policy,
-                coarsen,
-                store,
-            )
+            payload = _payload(engine, trace_set, build, mode, config, coarsen, store)
+            return _point_rows(payload, [specs[i] for i in indices], jobs, policy)
 
         if store is None:
             rows = list(compute(range(len(specs))))

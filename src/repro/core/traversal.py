@@ -1,13 +1,16 @@
 """Delta propagation over the message-passing graph (§4.2, §6).
 
-Two engines with **bit-identical results** (deterministic per-edge
-sampling, see :mod:`repro.core.perturb`):
+Two traversals with the same per-edge draws (deterministic sampling,
+see :mod:`repro.core.perturb`):
 
 :func:`propagate`
-    In-core: one topological pass over a built
+    Scalar: one topological pass over a built
     :class:`~repro.core.graph.MessagePassingGraph`, recording the delay
-    of every node and the sampled delta of every edge (what the
-    critical-path and absorption analyses consume).
+    of every node and the sampled delta of every edge.  It is the test
+    oracle of the compiled plan (:mod:`repro.core.compiled`), which
+    every graph-building analysis runs and which matches it bit for
+    bit.  :func:`longest_weighted_path` is likewise the oracle of the
+    compiled longest-path kernel.
 
 :class:`StreamingTraversal`
     Windowed: streams the per-rank traces through the same subgraph
@@ -50,14 +53,20 @@ __all__ = [
     "TraversalResult",
     "propagate",
     "propagate_absolute",
-    "propagate_presampled",
-    "sample_edge_deltas",
     "longest_weighted_path",
     "StreamingTraversal",
     "MODES",
+    "ENGINES",
 ]
 
 MODES = ("additive", "threshold")
+
+#: The propagation engines a caller may choose, default first: the
+#: compiled plan (:mod:`repro.core.compiled`) over a built graph, or the
+#: streaming traversal, which never builds one.  Only the entry points
+#: that can run without a graph (sweeps, ``repro-analyze``,
+#: ``repro-sweep``) take an engine; everything else is compiled.
+ENGINES = ("compiled", "streaming")
 
 
 @dataclass
@@ -111,13 +120,14 @@ class _DeltaApplier:
 
 
 # ---------------------------------------------------------------------------
-# In-core propagation
+# Scalar propagation over a built graph (reference oracles)
 # ---------------------------------------------------------------------------
 
 def propagate(
     build: BuildResult, spec: PerturbationSpec, mode: str = "additive"
 ) -> TraversalResult:
-    """Propagate sampled perturbations over a built graph (in-core)."""
+    """Propagate sampled perturbations over a built graph (scalar oracle
+    of :meth:`~repro.core.compiled.CompiledPlan.propagate_one`)."""
     g = build.graph
     applier = _DeltaApplier(spec, mode)
     with obs.span("propagate", mode=mode):
@@ -251,68 +261,6 @@ def propagate_absolute(
     )
 
 
-def sample_edge_deltas(build: BuildResult, spec: PerturbationSpec) -> list:
-    """Raw (unscaled, unclamped) per-edge delta samples for a build.
-
-    Because deterministic sampling makes every scale of the same
-    ``(signature, seed)`` draw the *same* base values, a noise-scale
-    ladder can sample once and re-propagate cheaply with
-    :func:`propagate_presampled` — the §6 sweep fast path.
-    """
-    edges = build.graph.edges
-    base = spec.scaled(1.0)
-    return base.sample_many([e.delta for e in edges], [e.weight for e in edges]).tolist()
-
-
-def propagate_presampled(
-    build: BuildResult,
-    raw_deltas: Sequence[float],
-    scale: float = 1.0,
-    mode: str = "additive",
-) -> TraversalResult:
-    """Propagate pre-sampled raw deltas at the given scale.
-
-    Exactly equivalent to ``propagate(build, spec.scaled(scale), mode)``
-    when ``raw_deltas`` came from :func:`sample_edge_deltas` with the
-    same spec — verified by tests — but skips the per-edge RNG work.
-    """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    g = build.graph
-    if len(raw_deltas) != len(g.edges):
-        raise ValueError("raw_deltas length does not match edge count")
-    with obs.span("propagate_presampled", mode=mode, scale=scale):
-        clamped = 0
-        edge_delta = []
-        for raw, e in zip(raw_deltas, g.edges):
-            value = raw * scale
-            if mode == "threshold":
-                edge_delta.append(max(0.0, value - e.weight))
-            elif value < -e.weight:
-                clamped += 1
-                edge_delta.append(-e.weight)
-            else:
-                edge_delta.append(value)
-        edges = g.edges
-        D = [0.0] * len(g.nodes)
-        for v in g.topological_order():
-            ins = g.in_edge_ids(v)
-            if ins:
-                D[v] = max(D[edges[ei].src] + edge_delta[ei] for ei in ins)
-        final_delay, final_times = _finals_from_graph(g, D)
-        obs.span_add("traversal.propagations")
-        if clamped:
-            obs.span_add("traversal.clamped_edges", clamped)
-    return TraversalResult(
-        final_delay=final_delay,
-        final_local_times=final_times,
-        mode=mode,
-        clamped_edges=clamped,
-        node_delay=D,
-        edge_delta=edge_delta,
-    )
-
-
 def _finals_from_graph(g: MessagePassingGraph, D: Sequence[float]) -> tuple[list, list]:
     final_delay: list[float] = []
     final_times: list[float] = []
@@ -350,7 +298,7 @@ def longest_weighted_path(
     edges = g.edges
     L = [0.0] * len(g.nodes)
     pred = [-1] * len(g.nodes)
-    with obs.span("longest_path", engine="incore"):
+    with obs.span("longest_path"):
         for v in g.topological_order():
             best = -math.inf
             binding = -1
@@ -466,7 +414,7 @@ class StreamingTraversal:
     spec:
         Perturbation sampling policy.
     config:
-        Graph-semantics knobs (must match any in-core build being
+        Graph-semantics knobs (must match any built graph being
         compared against).
     mode:
         ``"additive"`` or ``"threshold"`` (see module docstring).

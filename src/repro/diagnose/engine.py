@@ -8,9 +8,9 @@ JSON / SARIF reporters render unchanged, with the structured analysis
 artifacts riding along for programmatic consumers.
 :func:`diagnose_run` is the traces-in convenience wrapper.
 
-The report is deterministic: the critical path is bit-identical across
-engines, the anomaly detector is pure arithmetic over the traces, and
-replicate delays reuse the exact Monte-Carlo seed schedule
+The report is deterministic: the critical path is bit-identical to the
+scalar oracle's, the anomaly detector is pure arithmetic over the
+traces, and replicate delays reuse the exact Monte-Carlo seed schedule
 (``seed + i``) through the compiled batch kernel — so CI can gate on
 the SARIF output without flakes.
 """
@@ -29,7 +29,7 @@ from repro.core.primitives import BuildConfig
 from repro.core.traversal import MODES
 from repro.diagnose.anomaly import AnomalyReport, detect_anomalies
 from repro.diagnose.attribution import Attribution, attribute_path
-from repro.diagnose.path import ENGINES, CriticalPathExtract, extract_critical_path
+from repro.diagnose.path import CriticalPathExtract, extract_critical_path
 from repro.lint.engine import LintReport
 from repro.lint.model import Finding, LintConfig
 from repro.lint.registry import all_rules, run_rule
@@ -52,19 +52,16 @@ __all__ = [
 class DiagnoseConfig:
     """Tuning knobs of one diagnosis pass.
 
-    ``engine`` picks the longest-path kernel (result-identical;
-    ``auto`` = compiled).  ``replicates`` > 0 adds the Monte-Carlo
-    replicate-delay metric, which needs a machine signature and reuses
-    the standard ``seed + i`` replicate schedule.  The rule thresholds
-    are deliberately conservative — see :mod:`repro.diagnose.rules`.
-    ``lint`` carries the shared rule mechanics (disables, severity
+    ``replicates`` > 0 adds the Monte-Carlo replicate-delay metric,
+    which needs a machine signature and reuses the standard ``seed + i``
+    replicate schedule.  The rule thresholds are deliberately
+    conservative — see :mod:`repro.diagnose.rules`.  ``lint`` carries the shared rule mechanics (disables, severity
     overrides, emission caps) for the MPG2xx pack.  ``coarsen`` controls
     phase coarsening in the compiled replicate kernel
     (``"auto"``/``"on"``/``"off"``, see :mod:`repro.core.coarsen`) —
     the replicate delays are identical under every setting.
     """
 
-    engine: str = "auto"
     coarsen: str = "auto"
     replicates: int = 0
     seed: int = 0
@@ -81,8 +78,6 @@ class DiagnoseConfig:
     lint: LintConfig = field(default_factory=LintConfig)
 
     def __post_init__(self) -> None:
-        if self.engine not in ENGINES:
-            raise ValueError(f"engine must be one of {ENGINES}, got {self.engine!r}")
         if self.coarsen not in COARSEN_CHOICES:
             raise ValueError(
                 f"coarsen must be one of {COARSEN_CHOICES}, got {self.coarsen!r}"
@@ -173,8 +168,8 @@ def diagnose_build(
     replicate-delay metric samples perturbations from it).
     """
     config = config or DiagnoseConfig()
-    with obs.span("diagnose", engine=config.engine):
-        cp = extract_critical_path(build, engine=config.engine)
+    with obs.span("diagnose"):
+        cp = extract_critical_path(build)
         attribution = attribute_path(build, cp, top_edges=config.top_edges)
         replicate_delays = None
         if config.replicates > 0:
@@ -250,7 +245,7 @@ def render_diagnosis_text(report: DiagnosisReport, verbose: bool = False) -> str
     if cp is not None and attr is not None:
         lines.append(
             f"critical path: {cp.total_cost:,.0f} cy over {len(cp.edges)} edges "
-            f"into rank {cp.sink_rank} [engine={cp.engine}]"
+            f"into rank {cp.sink_rank}"
         )
         lines.append(attr.table())
         if verbose and attr.top_edges:

@@ -29,7 +29,7 @@ from repro import obs
 from repro.core.builder import BuildResult, build_graph
 from repro.core.coarsen import COARSEN_CHOICES
 from repro.core.compiled import compiled_plan
-from repro.core.montecarlo import ENGINES, monte_carlo
+from repro.core.montecarlo import monte_carlo
 from repro.core.perturb import PerturbationSpec
 from repro.core.primitives import BuildConfig
 from repro.core.traversal import MODES
@@ -63,7 +63,7 @@ class VerifyConfig:
     select the perturbation regime the bounds certify, and must match
     the Monte-Carlo run they are checked against.  ``replicates`` > 0
     adds the runtime containment cross-check (propagating that many
-    actual replicates through ``engine``).  ``matches`` toggles the
+    actual replicates through the compiled plan).  ``matches`` toggles the
     match-nondeterminism analysis.  ``lint`` carries the shared rule
     mechanics (disables, severity overrides, emission caps) for the
     MPG3xx pack.
@@ -73,7 +73,6 @@ class VerifyConfig:
     scale: float = 1.0
     mode: str = "additive"
     coarsen: str = "auto"
-    engine: str = "auto"
     replicates: int = 0
     seed: int = 0
     matches: bool = True
@@ -88,8 +87,6 @@ class VerifyConfig:
             raise ValueError(
                 f"coarsen must be one of {COARSEN_CHOICES}, got {self.coarsen!r}"
             )
-        if self.engine not in ENGINES:
-            raise ValueError(f"engine must be one of {ENGINES}, got {self.engine!r}")
         if self.replicates < 0:
             raise ValueError("replicates must be >= 0")
 
@@ -180,7 +177,6 @@ def verify_build(
                 spec,
                 replicates=config.replicates,
                 mode=config.mode,
-                engine=config.engine,
                 coarsen=config.coarsen,
             )
             containment = (config.replicates, bounds.violations(dist.samples))

@@ -104,8 +104,7 @@ def bounds_containment(ctx: "VerifyContext", config: LintConfig) -> Iterator[Fin
         return  # MPG303 carries the failure
     r = bounds_containment
     yield r.finding(
-        f"all {checked} Monte-Carlo replicates contained in the certified "
-        f"bounds (engine {ctx.config.engine})"
+        f"all {checked} Monte-Carlo replicates contained in the certified bounds"
     )
 
 

@@ -178,19 +178,19 @@ def plan_program(plan: list[tuple]):
 
 
 def assert_engines_agree(trace, spec, config: BuildConfig | None = None, mode: str = "additive"):
-    """Assert all three engines agree — the compiled plan bit-for-bit
-    against in-core, streaming within ``DELAY_TOL`` — and return the
-    in-core result."""
+    """Assert the engines agree with the scalar oracle ``propagate`` —
+    the compiled plan bit-for-bit, streaming within ``DELAY_TOL`` — and
+    return the oracle's result."""
     from repro.core import compiled_plan
 
     config = config or BuildConfig()
     build = build_graph(trace, config)
-    incore = propagate(build, spec, mode=mode)
+    ref = propagate(build, spec, mode=mode)
     compiled = compiled_plan(build).propagate_one(spec, mode=mode)
-    assert compiled.final_delay == incore.final_delay, "compiled engine diverged from in-core"
-    assert compiled.clamped_edges == incore.clamped_edges
+    assert compiled.final_delay == ref.final_delay, "compiled engine diverged from the oracle"
+    assert compiled.clamped_edges == ref.clamped_edges
     streaming = StreamingTraversal(spec, config=config, mode=mode).run(trace)
-    assert len(incore.final_delay) == len(streaming.final_delay)
-    for r, (a, b) in enumerate(zip(incore.final_delay, streaming.final_delay)):
-        assert a == pytest.approx(b, abs=DELAY_TOL), f"rank {r}: incore {a} != streaming {b}"
-    return incore
+    assert len(ref.final_delay) == len(streaming.final_delay)
+    for r, (a, b) in enumerate(zip(ref.final_delay, streaming.final_delay)):
+        assert a == pytest.approx(b, abs=DELAY_TOL), f"rank {r}: oracle {a} != streaming {b}"
+    return ref

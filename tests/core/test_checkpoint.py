@@ -12,6 +12,7 @@ import pytest
 
 from repro import obs
 from repro.core import (
+    ENGINES,
     PerturbationSpec,
     build_graph,
     monte_carlo,
@@ -30,6 +31,7 @@ from repro.core.checkpoint import (
 )
 from repro.noise import Exponential, MachineSignature
 from repro.testing import corrupt_checkpoints
+from tests.conftest import DELAY_TOL
 
 pytestmark = pytest.mark.usefixtures("no_obs_session")
 
@@ -86,7 +88,7 @@ class TestShardKey:
         base = key()
         for change in (
             dict(kind="sweep_scales"), dict(seed=1), dict(signature="sigX"),
-            dict(scale=2.0), dict(mode="threshold"), dict(engine="graph"),
+            dict(scale=2.0), dict(mode="threshold"), dict(engine="streaming"),
             dict(context="ctxX"),
         ):
             assert key(**change).filename != base.filename
@@ -233,15 +235,16 @@ class TestAnalysisResume:
         assert session.metrics.counter("checkpoint.hits").value == 6
         assert session.metrics.counter("mc.replicates").value == 0
 
-    def test_monte_carlo_engines_share_no_shards(self, ring_build, tmp_path):
-        s = spec(seed=7)
-        compiled = monte_carlo(ring_build, s, replicates=3, checkpoint=tmp_path)
-        graph = monte_carlo(
-            ring_build, s, replicates=3, engine="graph", checkpoint=tmp_path, resume=True
+    def test_sweep_engines_share_no_shards(self, ring_trace, tmp_path):
+        s = spec(seed=7, scale=2.0)
+        compiled = sweep_scales(ring_trace, s, [0.5, 1.0, 2.0], checkpoint=tmp_path)
+        streamed = sweep_scales(
+            ring_trace, s, [0.5, 1.0, 2.0], engine="streaming", checkpoint=tmp_path, resume=True
         )
-        # Same bits, but keyed separately (engine is part of the key).
-        assert np.array_equal(compiled.samples, graph.samples)
-        assert len(list(tmp_path.glob("mc-*.json"))) == 6
+        # Same points, but keyed separately (engine is part of the key).
+        for a, b in zip(compiled.points, streamed.points):
+            assert a.delays == pytest.approx(b.delays, abs=DELAY_TOL)
+        assert len(list(tmp_path.glob("sweep_scales-*.json"))) == 6
 
     def test_corrupt_shard_recomputed_on_resume(self, ring_build, tmp_path):
         s = spec(seed=11)
@@ -259,14 +262,14 @@ class TestAnalysisResume:
             monte_carlo(ring_build, s, replicates=4, checkpoint=tmp_path, resume=True)
         assert session2.metrics.counter("checkpoint.hits").value == 4
 
-    @pytest.mark.parametrize("engine", ["auto", "incore", "streaming"])
+    @pytest.mark.parametrize("engine", ENGINES)
     def test_sweep_scales_resume_bit_identical(self, ring_trace, tmp_path, engine):
         scales = [0.5, 1.0, 2.0]
-        clean = sweep_scales(ring_trace, spec(seed=9), scales, engine=engine)
-        sweep_scales(ring_trace, spec(seed=9), scales, engine=engine, checkpoint=tmp_path)
+        s = spec(seed=9, scale=2.0)
+        clean = sweep_scales(ring_trace, s, scales, engine=engine)
+        sweep_scales(ring_trace, s, scales, engine=engine, checkpoint=tmp_path)
         resumed = sweep_scales(
-            ring_trace, spec(seed=9), scales, engine=engine,
-            checkpoint=tmp_path, resume=True,
+            ring_trace, s, scales, engine=engine, checkpoint=tmp_path, resume=True,
         )
         for a, b in zip(clean.points, resumed.points):
             assert a.delays == b.delays

@@ -1,7 +1,7 @@
 """Tests for the compiled graph plan: the counter-based draw primitives
 (splitmix64 / mix / uniform grid) against a pure-Python reference of
-the sampling contract, and full cross-engine bit-identity — in-core
-``propagate`` vs :class:`CompiledPlan` vs ``StreamingTraversal`` — over
+the sampling contract, and full cross-engine bit-identity — the scalar
+oracle ``propagate`` vs :class:`CompiledPlan` vs ``StreamingTraversal`` — over
 every bundled app, both modes, every built-in distribution family, and
 a ladder of seeds and scales."""
 
@@ -240,7 +240,7 @@ def test_cross_engine_matrix(app_builds, app, mode):
 
 def test_one_edge_and_block_sampling_agree(app_builds):
     # The streaming engine samples edge by edge (``sample``), the
-    # in-core engine a whole block (``sample_many``): same floats.
+    # scalar oracle a whole block (``sample_many``): same floats.
     for app, (_, build) in sorted(app_builds.items()):
         edges = build.graph.edges
         deltas = [e.delta for e in edges]
@@ -278,15 +278,16 @@ def test_plan_pickle_roundtrip_is_bit_identical(app_builds):
 
 
 def test_invalid_mode_and_engine_raise(app_builds):
-    _, build = app_builds["token_ring"]
+    trace, build = app_builds["token_ring"]
     plan = compiled_plan(build)
     spec = PerturbationSpec(SIGNATURES["const"], seed=0)
     with pytest.raises(ValueError, match="mode"):
         plan.propagate_batch(spec, mode="bogus")
-    with pytest.raises(ValueError, match="engine"):
-        monte_carlo(build, spec, replicates=2, engine="bogus")
-    with pytest.raises(ValueError, match="engine"):
-        rank_influence(build, Exponential(100.0), engine="bogus")
+    with pytest.raises(ValueError, match="mode"):
+        monte_carlo(build, spec, replicates=2, mode="bogus")
+    for engine in ("bogus", "graph", "incore", "auto"):
+        with pytest.raises(ValueError, match="engine"):
+            sweep_signatures(trace, [SIGNATURES["const"]], engine=engine)
 
 
 def test_plan_is_cached_on_build(app_builds):
@@ -295,20 +296,26 @@ def test_plan_is_cached_on_build(app_builds):
 
 
 # ---------------------------------------------------------------------------
-# Analysis wiring: monte_carlo / sweep / influence engine equivalence
+# Analysis wiring: monte_carlo / sweep / influence against the scalar oracle
 # ---------------------------------------------------------------------------
+
+
+def oracle_rows(build, specs, mode="additive"):
+    """Final delays of one scalar ``propagate`` per spec."""
+    return [propagate(build, s, mode=mode).final_delay for s in specs]
 
 
 class TestAnalysisWiring:
     def test_monte_carlo_engines_and_jobs_agree(self, app_builds):
         _, build = app_builds["token_ring"]
         spec = PerturbationSpec(SIGNATURES["expo"], seed=17)
+        replicas = [PerturbationSpec(spec.signature, seed=spec.seed + i) for i in range(24)]
         for mode in ("additive", "threshold"):
-            ref = monte_carlo(build, spec, replicates=24, mode=mode, engine="graph")
-            for kwargs in ({"engine": "compiled"}, {"engine": "auto"}, {"jobs": 2}):
+            ref = np.array(oracle_rows(build, replicas, mode))
+            for kwargs in ({}, {"jobs": 2}):
                 got = monte_carlo(build, spec, replicates=24, mode=mode, **kwargs)
-                assert np.array_equal(ref.samples, got.samples), kwargs
-                assert ref.seeds == got.seeds
+                assert np.array_equal(ref, got.samples), kwargs
+                assert got.seeds == tuple(range(17, 41))
 
     def test_monte_carlo_compiled_returns_array_directly(self, app_builds):
         _, build = app_builds["token_ring"]
@@ -318,24 +325,36 @@ class TestAnalysisWiring:
         assert dist.samples.shape == (8, build.graph.nprocs)
 
     def test_sweep_scales_engines_agree(self, app_builds):
-        trace, _ = app_builds["stencil1d"]
-        spec = PerturbationSpec(SIGNATURES["rich"], seed=5)
+        """Point ``s`` is a propagation at ``spec.scale * s`` on every
+        engine, serial and pooled: compiled bit for bit against the
+        oracle, streaming within tolerance."""
+        trace, build = app_builds["stencil1d"]
         scales = [0.0, 0.25, 1.0, 2.0, -1.0]
-        for mode in ("additive", "threshold"):
-            ref = sweep_scales(trace, spec, scales, mode=mode, engine="incore")
-            for engine in ("compiled", "auto", "graph"):
-                got = sweep_scales(trace, spec, scales, mode=mode, engine=engine)
-                for a, b in zip(ref.points, got.points):
-                    assert a.delays == b.delays, (engine, mode, a.x)
+        for base in (1.0, 2.0):
+            spec = PerturbationSpec(SIGNATURES["rich"], seed=5, scale=base)
+            ref = {
+                mode: oracle_rows(build, [spec.scaled(base * s) for s in scales], mode)
+                for mode in ("additive", "threshold")
+            }
+            for mode, rows in ref.items():
+                got = sweep_scales(trace, spec, scales, mode=mode)
+                assert [list(p.delays) for p in got.points] == rows, (base, mode)
+            for jobs in (0, 2):
+                streamed = sweep_scales(trace, spec, scales, engine="streaming", jobs=jobs)
+                for point, row in zip(streamed.points, ref["additive"]):
+                    assert point.delays == pytest.approx(row, abs=DELAY_TOL), (base, jobs)
 
     def test_sweep_signatures_engines_agree(self, app_builds):
-        trace, _ = app_builds["token_ring"]
+        trace, build = app_builds["token_ring"]
         sigs = [SIGNATURES["expo"], SIGNATURES["const"], SIGNATURES["lognormal"]]
-        ref = sweep_signatures(trace, sigs, seed=3, engine="incore")
-        got = sweep_signatures(trace, sigs, seed=3, engine="compiled")
-        par = sweep_signatures(trace, sigs, seed=3, engine="compiled", jobs=2)
-        for a, b, c in zip(ref.points, got.points, par.points):
-            assert a.delays == b.delays == c.delays
+        ref = oracle_rows(build, [PerturbationSpec(sig, seed=3) for sig in sigs])
+        got = sweep_signatures(trace, sigs, seed=3)
+        par = sweep_signatures(trace, sigs, seed=3, jobs=2)
+        for row, b, c in zip(ref, got.points, par.points):
+            assert list(b.delays) == list(c.delays) == row
+        streamed = sweep_signatures(trace, sigs, seed=3, engine="streaming")
+        for row, point in zip(ref, streamed.points):
+            assert point.delays == pytest.approx(row, abs=DELAY_TOL)
 
     def test_sweep_rejects_unknown_engine(self, app_builds):
         trace, _ = app_builds["token_ring"]
@@ -345,11 +364,16 @@ class TestAnalysisWiring:
 
     def test_rank_influence_engines_agree(self, app_builds):
         _, build = app_builds["master_worker"]
-        ref = rank_influence(build, Exponential(150.0), seed=3, engine="graph")
-        got = rank_influence(build, Exponential(150.0), seed=3, engine="compiled")
-        par = rank_influence(build, Exponential(150.0), seed=3, jobs=2)
-        assert np.array_equal(ref.matrix, got.matrix)
-        assert np.array_equal(ref.matrix, par.matrix)
+        noise = Exponential(150.0)
+        sources = [
+            PerturbationSpec(MachineSignature(os_noise_by_rank={src: noise}), seed=3)
+            for src in range(build.graph.nprocs)
+        ]
+        ref = np.array(oracle_rows(build, sources))
+        got = rank_influence(build, noise, seed=3)
+        par = rank_influence(build, noise, seed=3, jobs=2)
+        assert np.array_equal(ref, got.matrix)
+        assert np.array_equal(ref, par.matrix)
 
     def test_streaming_build_config_still_respected(self, app_builds):
         # Compiled plans inherit whatever BuildConfig shaped the build.

@@ -1,6 +1,7 @@
 """Tests for the message-passing graph data structure."""
 
 import math
+import sys
 
 import pytest
 
@@ -118,9 +119,17 @@ class TestDeltaSpec:
             NO_DELTA.kind = DeltaKind.OS
 
 
+class TestNetworkxOptional:
+    def test_missing_networkx_names_the_extra(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "networkx", None)  # import now fails
+        g, _ = small_graph()
+        with pytest.raises(ImportError, match=r"repro\[networkx\]"):
+            g.to_networkx()
+
+
 class TestNetworkxExport:
     def test_structure_preserved(self):
-        import networkx as nx
+        nx = pytest.importorskip("networkx")
 
         g, _ = small_graph()
         nxg = g.to_networkx()
@@ -129,6 +138,7 @@ class TestNetworkxExport:
         assert nx.is_directed_acyclic_graph(nxg)
 
     def test_attributes(self):
+        pytest.importorskip("networkx")
         g, (s0, e0, s1, e1) = small_graph()
         nxg = g.to_networkx()
         assert nxg.nodes[s0]["kind"] == "SEND"
@@ -139,7 +149,7 @@ class TestNetworkxExport:
         assert data["delta_kind"] == "TRANSFER_OS"
 
     def test_topological_orders_agree(self, ring_trace):
-        import networkx as nx
+        nx = pytest.importorskip("networkx")
         from repro.core import build_graph
 
         g = build_graph(ring_trace).graph
@@ -156,7 +166,7 @@ class TestNetworkxExport:
         zero-weight message edges — notably the conservative ack edges,
         which for eager sends point 'backwards' in wall-clock time — let
         paths splice local chains of several ranks."""
-        import networkx as nx
+        nx = pytest.importorskip("networkx")
         from repro.core import build_graph
 
         build = build_graph(ring_trace)

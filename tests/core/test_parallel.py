@@ -15,7 +15,8 @@ from repro.core import (
     ProcessPoolBackend,
     SerialBackend,
     build_graph,
-    map_replicates,
+    compiled_plan,
+    map_replicate_batches,
     monte_carlo,
     rank_influence,
     replicate_items,
@@ -163,7 +164,9 @@ class TestSerialParallelEquality:
         assert np.array_equal(serial.matrix, parallel.matrix)
 
     def test_map_replicates_empty_pool_items(self, ring_build):
-        assert map_replicates(ring_build, [], jobs=2) == []
+        plan = compiled_plan(ring_build)
+        out = map_replicate_batches(plan, spec().signature, [], jobs=2)
+        assert out.shape == (0, plan.nprocs)
 
 
 class TestFallback:

@@ -22,8 +22,8 @@ class TestSweepScales:
         assert sweep.slope() == pytest.approx(ys[1])
 
     def test_streaming_engine_matches(self, ring_trace):
-        spec = PerturbationSpec(const_sig(), seed=0)
-        a = sweep_scales(ring_trace, spec, [0.5, 1.5], engine="incore")
+        spec = PerturbationSpec(const_sig(), seed=0, scale=2.0)
+        a = sweep_scales(ring_trace, spec, [0.5, 1.5])
         b = sweep_scales(ring_trace, spec, [0.5, 1.5], engine="streaming")
         for pa, pb in zip(a.points, b.points):
             assert pa.delays == tuple(pytest.approx(d) for d in pb.delays)

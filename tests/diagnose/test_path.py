@@ -1,11 +1,11 @@
-"""Critical-path extraction: engine agreement, determinism, and the
-replicate-batch invariant.
+"""Critical-path extraction: agreement with the scalar oracle,
+determinism, and the replicate-batch invariant.
 
 The acceptance-critical property: the extracted path — edges, nodes,
-per-edge costs, AND total — is *bit-identical* whichever engine
-computes it (``compiled`` / ``incore`` / ``graph``), for any
-simulator-producible run, and batching extra replicate rows through the
-compiled kernel never changes row 0.
+per-edge costs, AND total — is *bit-identical* to the one backtracked
+from the scalar oracle :func:`~repro.core.traversal.longest_weighted_path`,
+for any simulator-producible run, and batching extra replicate rows
+through the compiled kernel never changes row 0.
 """
 
 from __future__ import annotations
@@ -15,14 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import build_graph
+from repro.core import build_graph, longest_weighted_path
 from repro.core.compiled import compiled_plan
 from repro.diagnose import extract_critical_path
-from repro.diagnose.path import ENGINES, path_costs
+from repro.diagnose.path import path_costs
 from repro.mpisim import run
 from tests.conftest import plan_program
-
-REAL_ENGINES = [e for e in ENGINES if e != "auto"]
 
 _round = st.one_of(
     st.tuples(st.just("compute"), st.integers(100, 3000)),
@@ -38,51 +36,55 @@ _round = st.one_of(
 _plans = st.lists(_round, min_size=1, max_size=4)
 
 
-def extract_all_engines(build, deltas=None):
-    return [
-        extract_critical_path(build, deltas=deltas, engine=e) for e in REAL_ENGINES
-    ]
-
-
-def assert_identical(extracts):
-    ref = extracts[0]
-    for other in extracts[1:]:
-        assert other.edges == ref.edges, f"{other.engine} path != {ref.engine} path"
-        assert other.nodes == ref.nodes
-        assert other.costs == ref.costs
-        assert other.total_cost == ref.total_cost
-        assert other.final_costs == ref.final_costs
-        assert other.sink_rank == ref.sink_rank
+def assert_matches_oracle(build, deltas=None):
+    """Extraction vs a backtrack of the scalar oracle's predecessors,
+    with the same sink rule (largest final cost, lowest rank on ties)."""
+    cp = extract_critical_path(build, deltas=deltas)
+    g = build.graph
+    costs = path_costs(build, deltas).tolist()
+    L, pred = longest_weighted_path(build, costs)
+    finals = [g.final_node_of(r) for r in range(g.nprocs)]
+    final_costs = tuple(0.0 if nid is None else L[nid] for nid in finals)
+    sink_rank = max(
+        (r for r, nid in enumerate(finals) if nid is not None), key=lambda r: (final_costs[r], -r)
+    )
+    edges, node = [], finals[sink_rank]
+    while pred[node] >= 0:
+        edges.append(pred[node])
+        node = g.edges[pred[node]].src
+    edges.reverse()
+    assert cp.edges == tuple(edges)
+    assert cp.nodes == (node, *(g.edges[ei].dst for ei in edges))
+    assert cp.costs == tuple(costs[ei] for ei in edges)
+    assert cp.total_cost == final_costs[sink_rank]
+    assert cp.final_costs == final_costs
+    assert cp.sink_rank == sink_rank
 
 
 class TestEngineAgreement:
     def test_ring_identical_across_engines(self, ring_trace):
-        build = build_graph(ring_trace)
-        assert_identical(extract_all_engines(build))
+        assert_matches_oracle(build_graph(ring_trace))
 
     def test_stencil_identical_across_engines(self, stencil_trace):
-        build = build_graph(stencil_trace)
-        assert_identical(extract_all_engines(build))
+        assert_matches_oracle(build_graph(stencil_trace))
 
     def test_identical_with_random_deltas(self, ring_trace, rng):
         build = build_graph(ring_trace)
         deltas = rng.exponential(500.0, size=len(build.graph.edges))
-        assert_identical(extract_all_engines(build, deltas=deltas))
+        assert_matches_oracle(build, deltas=deltas)
 
     @given(plan=_plans, p=st.integers(2, 5))
     @settings(max_examples=25, deadline=None)
     def test_any_run_identical_across_engines(self, plan, p):
-        """Property: path extraction is engine-independent for ANY valid run."""
-        build = build_graph(run(plan_program(plan), nprocs=p, seed=5).trace)
-        assert_identical(extract_all_engines(build))
+        """Property: the compiled extraction equals the oracle's for ANY valid run."""
+        assert_matches_oracle(build_graph(run(plan_program(plan), nprocs=p, seed=5).trace))
 
     def test_auto_is_compiled(self, ring_trace):
-        cp = extract_critical_path(build_graph(ring_trace))
-        assert cp.engine == "compiled"
-
-    def test_unknown_engine_rejected(self, ring_trace):
-        with pytest.raises(ValueError, match="engine must be one of"):
-            extract_critical_path(build_graph(ring_trace), engine="gpu")
+        """The extraction backtracks the compiled kernel's predecessors."""
+        build = build_graph(ring_trace)
+        cp = extract_critical_path(build)
+        _, pred = compiled_plan(build).longest_path(path_costs(build)[None, :])
+        assert [int(pred[0, dst]) for dst in cp.nodes[1:]] == list(cp.edges)
 
 
 class TestReplicateBatchInvariance:
@@ -148,7 +150,7 @@ class TestExtractShape:
         cp = extract_critical_path(build_graph(ring_trace))
         d = cp.as_dict()
         assert d["sink_rank"] == cp.sink_rank
-        assert d["engine"] == "compiled"
+        assert "engine" not in d
         assert tuple(d["edges"]) == cp.edges
 
     def test_bad_deltas_shape_rejected(self, ring_trace):

@@ -4,7 +4,15 @@ import json
 
 import pytest
 
-from repro.cli import main_analyze, main_dot, main_microbench, main_sweep, main_trace
+from repro.cli import (
+    main_analyze,
+    main_diagnose,
+    main_dot,
+    main_microbench,
+    main_sweep,
+    main_trace,
+    main_verify,
+)
 
 
 @pytest.fixture
@@ -35,6 +43,42 @@ def traced(tmp_path):
     )
     assert rc == 0
     return tmp_path, sig_path
+
+
+@pytest.mark.parametrize(
+    "main, flag, extra",
+    [
+        (main_analyze, "--replicates", ["--replicates", "-3"]),
+        (main_analyze, "--window", ["--engine", "streaming", "--window", "0"]),
+        (main_analyze, "--pop-windows", ["--pop-metrics", "--pop-windows", "0"]),
+        (main_analyze, "--verify-quantile", ["--verify", "--verify-quantile", "1"]),
+        (main_sweep, "--scales", ["--scales", "abc"]),
+        (main_sweep, "--scales", ["--scales", ","]),
+        (main_diagnose, "--replicates", ["--replicates", "-2"]),
+        (main_verify, "--replicates", ["--replicates", "-2"]),
+        (main_verify, "--quantile", ["--quantile", "1.5"]),
+    ],
+    ids=[
+        "analyze-replicates",
+        "analyze-window",
+        "analyze-pop-windows",
+        "analyze-verify-quantile",
+        "sweep-scales-text",
+        "sweep-scales-empty",
+        "diagnose-replicates",
+        "verify-replicates",
+        "verify-quantile",
+    ],
+)
+def test_out_of_range_numbers_are_usage_errors(tmp_path, capsys, main, flag, extra):
+    """Each bad value exits 2 with a usage message naming the flag."""
+    with pytest.raises(SystemExit) as exc:
+        main(["--traces", str(tmp_path), "--stem", "ring", "--measure", "quiet", *extra])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}" in err
+    assert "usage:" in err
+    assert "Traceback" not in err
 
 
 class TestTrace:

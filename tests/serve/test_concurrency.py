@@ -54,7 +54,7 @@ class TestCheckpointStoreHammering:
 
         def put_one(i):
             key = ShardKey(kind="mc", seed=i, signature="s", scale=1.0,
-                           mode="additive", engine="graph", context="c")
+                           mode="additive", engine="streaming", context="c")
             store.put(key, [float(i)])
             return store.get(key)
 

@@ -104,8 +104,11 @@ class TestValidateRequest:
         validate_request(_minimal(params={"scales": [0.0, 1.5]}), "sweep")
 
     def test_bad_engine_vocabulary_rejected(self):
-        with pytest.raises(ServeError, match="engine"):
-            validate_request(_minimal(params={"engine": "warp-drive"}), "analyze")
+        # A daemon always holds a built graph: there is no engine param.
+        for kind in ("analyze", "sweep", "diagnose", "verify"):
+            for engine in ("warp-drive", "compiled", "streaming"):
+                with pytest.raises(ServeError, match="unknown params.*engine"):
+                    validate_request(_minimal(params={"engine": engine}), kind)
 
     def test_bad_inject_rejected(self):
         with pytest.raises(ServeError, match="inject"):

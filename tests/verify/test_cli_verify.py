@@ -127,12 +127,14 @@ class TestReproVerify:
         )
         assert rc == 0
 
-    def test_quantile_flag_validated(self, clean_traces, signature):
-        with pytest.raises(ValueError, match="quantile"):
+    def test_quantile_flag_validated(self, clean_traces, signature, capsys):
+        with pytest.raises(SystemExit) as exc:
             main_verify(
                 ["--traces", str(clean_traces), "--stem", "ring",
                  "--signature", str(signature), "--quantile", "0.1"]
             )
+        assert exc.value.code == 2
+        assert "--quantile" in capsys.readouterr().err
 
 
 class TestAnalyzeVerifyPreflight:
@@ -158,7 +160,7 @@ class TestAnalyzeVerifyPreflight:
         assert doc["schema"] == "repro-verify-report/1"
 
     def test_streaming_engine_rejected(self, clean_traces, signature):
-        with pytest.raises(SystemExit, match="graph engine"):
+        with pytest.raises(SystemExit, match="requires the compiled engine"):
             main_analyze(
                 ["--traces", str(clean_traces), "--stem", "ring",
                  "--signature", str(signature), "--verify",

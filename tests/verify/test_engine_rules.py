@@ -40,7 +40,7 @@ class TestConfigValidation:
             {"quantile": 1.0},
             {"mode": "bogus"},
             {"coarsen": "sometimes"},
-            {"engine": "gpu"},
+            {"quantile": float("nan")},
             {"replicates": -1},
         ],
     )

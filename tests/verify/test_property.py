@@ -1,17 +1,19 @@
 """Property tests: the certified static bounds must contain every
-Monte-Carlo replicate, for any bundled app, any propagation engine, any
-seed — and for arbitrary simulator-producible programs."""
+Monte-Carlo replicate, for any bundled app, from the compiled plan or
+the scalar oracle, any seed — and for arbitrary simulator-producible
+programs."""
 
 from __future__ import annotations
 
 from functools import lru_cache
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps import ALL_APPS
-from repro.core import PerturbationSpec, build_graph, monte_carlo
+from repro.core import PerturbationSpec, build_graph, monte_carlo, propagate
 from repro.core.compiled import compiled_plan
 from repro.mpisim import run
 from repro.noise import Constant, Exponential, MachineSignature, Uniform
@@ -53,17 +55,21 @@ def app_bounds(name):
 
 @given(
     name=st.sampled_from(sorted(ALL_APPS)),
-    engine=st.sampled_from(["compiled", "graph"]),
+    oracle=st.booleans(),
     seed=st.integers(0, 10_000),
 )
 @settings(max_examples=30, deadline=None)
-def test_every_replicate_inside_static_bounds(name, engine, seed):
+def test_every_replicate_inside_static_bounds(name, oracle, seed):
     build = app_build(name)
     bounds = app_bounds(name)
-    dist = monte_carlo(
-        build, PerturbationSpec(SIGNATURE, seed=seed), replicates=5, engine=engine
-    )
-    assert bounds.violations(dist.samples) == [], (name, engine, seed)
+    if oracle:
+        samples = np.array(
+            [propagate(build, PerturbationSpec(SIGNATURE, seed=seed + i)).final_delay
+             for i in range(5)]
+        )
+    else:
+        samples = monte_carlo(build, PerturbationSpec(SIGNATURE, seed=seed), replicates=5).samples
+    assert bounds.violations(samples) == [], (name, oracle, seed)
 
 
 _round = st.one_of(
