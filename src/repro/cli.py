@@ -64,9 +64,11 @@ import logging
 import sys
 from pathlib import Path
 
+# The simulator, bundled apps, machine presets and microbenchmarks are
+# imported inside the entry points that run them (repro-trace,
+# repro-microbench, --measure, repro-replay): analysis tools never load them.
 from repro import obs
 from repro._util import atomic_write_text
-from repro.apps import ALL_APPS
 from repro.core import (
     ENGINES,
     BuildConfig,
@@ -85,7 +87,6 @@ from repro.core import (
     sweep_scales,
     to_dot,
 )
-from repro.machines import PRESETS
 from repro.metrics import (
     build_report,
     gate_report,
@@ -97,8 +98,6 @@ from repro.metrics import (
     render_text,
     trace_frame,
 )
-from repro.microbench import measure_machine
-from repro.mpisim import run_to_files
 from repro.noise import MachineSignature
 from repro.trace import TraceSet, validate_traces
 from repro.trace.stats import trace_stats
@@ -369,6 +368,8 @@ def _checkpoint_args(args) -> dict:
 
 
 def _machine(name: str, nprocs: int, seed: int):
+    from repro.machines import PRESETS
+
     if name not in PRESETS:
         raise SystemExit(f"unknown machine preset {name!r}; choose from {sorted(PRESETS)}")
     return PRESETS[name](nprocs, seed=seed)
@@ -378,6 +379,8 @@ def _load_signature(args) -> MachineSignature:
     if args.signature:
         return MachineSignature.load(args.signature)
     if args.measure:
+        from repro.microbench import measure_machine
+
         machine = _machine(args.measure, max(args.measure_nprocs, 2), args.seed)
         with obs.span("measure_machine", preset=args.measure):
             report = measure_machine(machine, seed=args.seed)
@@ -449,6 +452,10 @@ def _add_analysis_args(ap: argparse.ArgumentParser) -> None:
 
 
 def main_trace(argv: list[str] | None = None) -> int:
+    from repro.apps import ALL_APPS
+    from repro.machines import PRESETS
+    from repro.mpisim import run_to_files
+
     ap = argparse.ArgumentParser(
         prog="repro-trace", description="Run a bundled app on a simulated machine and trace it."
     )
@@ -490,6 +497,9 @@ def main_trace(argv: list[str] | None = None) -> int:
 
 
 def main_microbench(argv: list[str] | None = None) -> int:
+    from repro.machines import PRESETS
+    from repro.microbench import measure_machine
+
     ap = argparse.ArgumentParser(
         prog="repro-microbench",
         description="Measure a preset machine's signature via microbenchmarks.",
@@ -622,6 +632,10 @@ def main_analyze(argv: list[str] | None = None) -> int:
     session = _start_observability(args, "repro-analyze")
     with obs.span("analyze", engine=engine, mode=args.mode):
         traces = TraceSet.open(args.traces, args.stem)
+        if engine == "compiled":
+            # Every event ends up in the graph: decode each file once for
+            # lint, validation, stats and the build.
+            traces.load()
         config = _build_config(args)
         _preflight_lint(args, traces, config)
         with obs.span("validate_traces"):
@@ -797,6 +811,8 @@ def main_sweep(argv: list[str] | None = None) -> int:
 
     session = _start_observability(args, "repro-sweep")
     traces = TraceSet.open(args.traces, args.stem)
+    if args.engine == "compiled":
+        traces.load()
     _preflight_lint(args, traces, _build_config(args))
     sig = _load_signature(args)
     spec = PerturbationSpec(sig, seed=args.seed, scale=args.scale)
@@ -947,7 +963,8 @@ def main_lint(argv: list[str] | None = None) -> int:
         if args.trace_only:
             report = lint.lint_traces(traces, config)
         else:
-            report = lint.lint_run(traces, config, build_config=_build_config(args))
+            # The trace rules and the guarded build share one decode.
+            report = lint.lint_run(traces.load(), config, build_config=_build_config(args))
     _finish_observability(args, session)
 
     if args.out:

@@ -21,7 +21,6 @@ from repro.microbench.pingpong import PingPongResult, run_pingpong
 from repro.mpisim.runtime import Machine
 from repro.noise.distributions import RandomVariable, ZERO
 from repro.noise.empirical import Empirical
-from repro.noise.fitting import fit_best
 from repro.noise.models import NO_NOISE
 from repro.noise.signature import MachineSignature
 
@@ -53,6 +52,8 @@ class MicrobenchReport:
         if method == "empirical":
             return Empirical(arr)
         if method == "fit":
+            from repro.noise.fitting import fit_best
+
             return fit_best(arr).distribution
         raise ValueError(f"method must be 'empirical' or 'fit', got {method!r}")
 

@@ -3,7 +3,13 @@
 Distributions (parametric and empirical), fitting from microbenchmark
 samples, synthetic OS-noise generators, and the machine-signature bundle
 the analyzer consumes.
+
+Fitting needs ``scipy.stats``, which takes about a second to import, so
+``FitResult``/``fit_best`` are loaded on first access: only the commands
+that fit a family pay for it.
 """
+
+from typing import TYPE_CHECKING
 
 from repro.noise.distributions import (
     ZERO,
@@ -23,7 +29,6 @@ from repro.noise.distributions import (
     Weibull,
 )
 from repro.noise.empirical import Empirical, ecdf
-from repro.noise.fitting import FitResult, fit_best
 from repro.noise.models import (
     NO_NOISE,
     CompositeNoise,
@@ -34,6 +39,9 @@ from repro.noise.models import (
     RandomPreemption,
 )
 from repro.noise.signature import MachineSignature
+
+if TYPE_CHECKING:
+    from repro.noise.fitting import FitResult, fit_best
 
 __all__ = [
     "ZERO",
@@ -64,3 +72,11 @@ __all__ = [
     "RandomPreemption",
     "MachineSignature",
 ]
+
+
+def __getattr__(name: str) -> object:
+    if name in ("FitResult", "fit_best"):
+        from repro.noise import fitting
+
+        return getattr(fitting, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -8,6 +8,12 @@ iterator with one-event lookahead (the matching algorithm of §4.1 needs
 :class:`repro.trace.writer.TraceSetWriter` and checks they form a
 coherent run.
 
+A caller that will materialize every event anyway (the compiled engine
+builds the whole graph) calls :meth:`TraceSet.load` first: each file is
+then decoded once, and every later pass — lint, validation, statistics,
+the build — iterates the decoded events.  The streaming engine never
+loads, so its memory stays bounded by its window.
+
 An in-memory variant (:class:`MemoryTrace`) backs tests and
 property-based generators without touching disk.
 """
@@ -103,13 +109,22 @@ class TraceReader:
         else:
             with open(self.path, "r") as fh:
                 self.meta = fmt.read_header_text(fh)
+        self._loaded: list[EventRecord] | None = None
+
+    def load(self) -> None:
+        """Decode the file now; later :meth:`events` calls replay it from memory."""
+        if self._loaded is None:
+            self._loaded = list(self.events())
 
     def _sniff_binary(self) -> bool:
         with open(self.path, "rb") as fh:
             return fh.read(len(fmt.BINARY_MAGIC)) in (fmt.BINARY_MAGIC, fmt.BINARY_MAGIC_V1)
 
     def events(self) -> Iterator[EventRecord]:
-        """Stream all events from disk, one at a time."""
+        """Stream all events, one at a time: from disk, or from memory
+        once :meth:`load` has run."""
+        if self._loaded is not None:
+            return iter(self._loaded)
         it = self._raw_events()
         if obs.enabled():
             obs.add("trace.files_read")
@@ -198,6 +213,14 @@ class TraceSet:
     @classmethod
     def open_paths(cls, paths: Sequence[str | Path]) -> "TraceSet":
         return cls([TraceReader(p) for p in paths])
+
+    def load(self) -> "TraceSet":
+        """Decode every rank's file once and keep the events in memory
+        (readers and paths stay as they are); returns ``self``."""
+        with obs.span("load_traces", nprocs=self.nprocs):
+            for r in self.readers:
+                r.load()
+        return self
 
     def meta(self, rank: int) -> TraceMeta:
         return self.readers[rank].meta

@@ -8,11 +8,15 @@ from repro.cli import (
     main_analyze,
     main_diagnose,
     main_dot,
+    main_lint,
     main_microbench,
     main_sweep,
     main_trace,
     main_verify,
 )
+
+
+NPROCS = 4
 
 
 @pytest.fixture
@@ -23,7 +27,7 @@ def traced(tmp_path):
             "--app",
             "token_ring",
             "--nprocs",
-            "4",
+            str(NPROCS),
             "--machine",
             "quiet",
             "--out",
@@ -234,8 +238,23 @@ class TestObservability:
         payload = json.loads(metrics_path.read_text())
         metrics = payload["metrics"]
         assert metrics["graph.nodes"] > 0
-        assert metrics["trace.files_read"] >= 4
+        # Lint, validation, stats and the build share one decode per rank.
+        assert metrics["trace.files_read"] == NPROCS
         assert metrics["traversal.propagations"] == 1
+
+    @pytest.mark.parametrize(
+        "main, extra",
+        [(main_sweep, ["--signature", "SIG", "--scales", "0,1"]), (main_lint, ["--quiet"])],
+        ids=["sweep", "lint"],
+    )
+    def test_reads_each_rank_once(self, traced, main, extra):
+        tmp_path, sig_path = traced
+        metrics_path = tmp_path / "metrics.json"
+        argv = ["--traces", str(tmp_path), "--stem", "ring", "--metrics-out", str(metrics_path)]
+        rc = main(argv + [str(sig_path) if a == "SIG" else a for a in extra])
+        assert rc == 0
+        metrics = json.loads(metrics_path.read_text())["metrics"]
+        assert metrics["trace.files_read"] == NPROCS
 
     def test_no_session_leaks_between_invocations(self, traced):
         from repro import obs

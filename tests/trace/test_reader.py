@@ -103,6 +103,23 @@ class TestTraceSet:
         all_events = ts.load_all()
         assert [len(evs) for evs in all_events] == [3, 3]
 
+    def test_load_decodes_each_file_once(self, tmp_path):
+        from repro import obs
+
+        paths = write_set(tmp_path, "app", 3, per_rank=5, binary=True)
+        ts = TraceSet.open(tmp_path, "app")
+        expected = ts.load_all()
+        with obs.session_scope() as session:
+            assert ts.load() is ts
+            ts.load()  # a second load is a no-op
+            for _ in range(3):  # lint, validation, the build, ...
+                assert ts.load_all() == expected
+                assert [s.peek() for s in ts.streams()] == [evs[0] for evs in expected]
+        metrics = session.metrics.as_dict()
+        assert metrics["trace.files_read"] == 3
+        assert metrics["trace.events_read"] == 15
+        assert [r.path for r in ts.readers] == paths
+
     def test_missing_rank_rejected(self, tmp_path):
         paths = write_set(tmp_path, "app", 3)
         paths[1].unlink()
